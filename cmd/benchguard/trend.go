@@ -37,7 +37,7 @@ const (
 // integer fast paths. They appear in the speedup table but are not
 // regression-gated: a "regression" in a reference is meaningless (no one
 // ships it), and gating it would forbid ever simplifying baseline code.
-// (CenteredSpectrum256 is the unpooled reference of CenteredSpectrumInto256 —
+// (CenteredSpectrum256 is the complex-input reference of CenteredSpectrumInto256 —
 // the pattern does not match the Into name — and BuildCoeff is the uncached
 // construction CoeffFor's memoization exists to avoid.)
 var referenceBench = regexp.MustCompile(`Naive|Unplanned|Legacy|PerColumn|Float256|CenteredSpectrum256|BuildCoeff`)
@@ -55,7 +55,7 @@ var speedupPairs = []struct {
 	{"BenchmarkResizeFixed256", "BenchmarkResize256Serial", "Q1.15 fixed-point resize"},
 	{"BenchmarkCoeffFor64to16", "BenchmarkBuildCoeff64to16", "memoized coefficient lookup"},
 	{"BenchmarkFFT2DBlocked256", "BenchmarkFFT2DPerColumn256", "cache-blocked FFT columns"},
-	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrum256", "pooled centered spectrum"},
+	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrum256", "real-input centered spectrum"},
 	{"BenchmarkEnsemblePipeline", "BenchmarkEnsembleLegacy", "stage-DAG ensemble"},
 	{"BenchmarkEnsembleU8", "BenchmarkEnsemblePipeline", "quantized ensemble"},
 }

@@ -252,7 +252,8 @@ func (in *Intermediates) release() {
 
 // pixPool recycles the pixel planes of pooled stage outputs. Buffers are
 // not zeroed on reuse: every stage fully overwrites its output (grayInto
-// writes every sample; ResizeInto's passes assign every sample).
+// writes every sample; ResizeInto's passes assign every sample;
+// CenteredSpectrumInto writes every bin).
 var pixPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // pooledImage draws an image of the given geometry from the pixel pool.
@@ -458,7 +459,8 @@ func (in *Intermediates) minFiltered(ctx context.Context, window int) (*imgcore.
 }
 
 // spectrum returns the centered log-magnitude spectrum of the luminance
-// plane, computed once per image through the batch-shared FFT plan.
+// plane, computed once per image through the batch-shared FFT plan into a
+// pooled plane that lives until the request releases its buffers.
 func (in *Intermediates) spectrum(ctx context.Context) ([]float64, error) {
 	v, err := in.memo(stageKey{kind: stageSpectrum}, func() (any, error) {
 		g, err := in.gray(ctx)
@@ -470,13 +472,14 @@ func (in *Intermediates) spectrum(ctx context.Context) ([]float64, error) {
 			return nil, fmt.Errorf("steg: spectrum: %w", err)
 		}
 		_, st := obs.StartStage(ctx, "pipeline.spectrum", in.pipe.specH)
-		spec := make([]float64, g.W*g.H)
-		err = plan.CenteredSpectrumInto(ctx, g.Pix, spec)
+		spec, put := pooledImage(g.W, g.H, 1)
+		in.deferRelease(put)
+		err = plan.CenteredSpectrumInto(ctx, g.Pix, spec.Pix)
 		st.End()
 		if err != nil {
 			return nil, fmt.Errorf("steg: spectrum: %w", err)
 		}
-		return spec, nil
+		return spec.Pix, nil
 	})
 	if err != nil {
 		return nil, err

@@ -17,13 +17,22 @@ func complexClose(a, b complex128, tol float64) bool {
 }
 
 // naiveDFT is the O(n^2) reference implementation.
-func naiveDFT(x []complex128) []complex128 {
+func naiveDFT(x []complex128) []complex128 { return naiveDFTDir(x, false) }
+
+// naiveDFTDir is the O(n^2) unnormalized DFT in either direction. The
+// phase index k·j is reduced mod n before it becomes an angle, so every
+// twiddle is accurate to a few ulps whatever the length.
+func naiveDFTDir(x []complex128, inverse bool) []complex128 {
 	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			angle := -2 * math.Pi * float64(k) * float64(j) / float64(n)
+			angle := sign * 2 * math.Pi * float64((k*j)%n) / float64(n)
 			s += x[j] * cmplx.Rect(1, angle)
 		}
 		out[k] = s
@@ -258,7 +267,7 @@ func TestShiftCentersDC(t *testing.T) {
 		w, h := dims[0], dims[1]
 		m, _ := NewMatrix(w, h)
 		m.Set(0, 0, 1) // DC bin
-		s := Shift(m)
+		s := shift(m)
 		cx, cy := w/2, h/2
 		if w%2 == 1 {
 			cx = w / 2
@@ -282,7 +291,7 @@ func TestShiftIsPermutation(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = complex(float64(i), 0)
 	}
-	s := Shift(m)
+	s := shift(m)
 	seen := make(map[float64]bool)
 	for _, v := range s.Data {
 		seen[real(v)] = true

@@ -1,25 +1,31 @@
 // Transform plans. A Plan precomputes everything about a 1-D DFT of a
-// fixed (length, direction) that does not depend on the input: the
-// bit-reversal permutation and per-stage twiddle tables for radix-2
-// lengths, plus the chirp sequence and the precomputed FFT of the chirp
-// filter for Bluestein lengths. Executing a plan performs the exact same
-// arithmetic as the naive transform in fft.go — the twiddle tables are
-// built by the same repeated-multiplication recurrence the naive loop uses
-// — so planned output is BIT-IDENTICAL to unplanned output (pinned by
-// TestPlannedMatchesNaive*).
+// fixed (length, direction) that does not depend on the input.
+//
+// Lengths whose prime factors are all at most 7 (every image axis the
+// paper deploys: 224, 600, 768, 1024, ...) run as an in-place mixed-radix
+// decimation-in-time FFT: a digit-reversal permutation, stored as a swap
+// list, then one butterfly stage per factor with radix 4, 2, 3, 5 or 7
+// and a precomputed twiddle table per stage (radix.go). Every other
+// length runs Bluestein's chirp-z algorithm, whose circular convolution is
+// evaluated with mixed-radix plans of the smallest 7-smooth length
+// >= 2n-1.
+//
+// Accuracy contract: planned output matches the exact DFT to a relative
+// L2 error below 1e-13 (planRelTol in the tests, pinned against the O(n²)
+// oracle by TestPlanMatchesNaiveDFT, forward and inverse, for every
+// length 1..64 and the image axes of the paper's geometries). It is not
+// bit-identical to any other transform. Execution is deterministic: one plan yields the
+// same bits for the same input on every call, goroutine and worker count.
 //
 // Plans are cached per (length, direction) in a bounded, mutex-guarded LRU
-// (planCacheCap entries); scratch buffers for Bluestein's convolution and
-// the 2-D column gather come from sync.Pools. Between the two, the steady
-// state of Transform2D/CenteredSpectrum performs no per-row allocation at
-// all for radix-2 sizes and only pool churn for Bluestein sizes.
+// (planCacheCap entries); Bluestein's convolution scratch comes from a
+// sync.Pool. The steady state of a smooth-length transform allocates
+// nothing.
 package fourier
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/cmplx"
 	"sync"
 
 	"decamouflage/internal/cache"
@@ -33,16 +39,16 @@ type Plan struct {
 	n       int
 	inverse bool
 
-	// Radix-2 state (n a power of two, n >= 2).
-	perm   []int          // bit-reversal target for each index
-	stages [][]complex128 // twiddle table per butterfly stage, half-size each
+	// Mixed-radix state (n >= 2, every prime factor <= 7).
+	swaps  []int   // digit-reversal permutation as index pairs, applied in order
+	stages []stage // butterfly stages, innermost (span 1) first
 
 	// Bluestein state (other lengths).
-	m       int          // power-of-two convolution length >= 2n-1
+	m       int          // 7-smooth convolution length >= 2n-1
 	chirp   []complex128 // exp(sign·iπk²/n), k in [0, n)
 	bfft    []complex128 // forward FFT of the chirp filter, length m
-	sub     *Plan        // radix-2 plan of length m, forward
-	subInv  *Plan        // radix-2 plan of length m, inverse
+	sub     *Plan        // mixed-radix plan of length m, forward
+	subInv  *Plan        // mixed-radix plan of length m, inverse
 	scratch *sync.Pool   // *[]complex128 of length m, zeroed on return
 }
 
@@ -52,9 +58,39 @@ func (p *Plan) N() int { return p.n }
 // Inverse reports the transform direction.
 func (p *Plan) Inverse() bool { return p.inverse }
 
+// smoothFactors returns the stage radices of n, innermost first, or nil
+// when n has a prime factor above 7. Odd radices run first, where the
+// span-1 stage needs no twiddles; powers of two pair into radix-4 stages
+// behind at most one radix-2 stage.
+func smoothFactors(n int) []int {
+	var odd []int
+	for _, r := range []int{7, 5, 3} {
+		for n%r == 0 {
+			odd = append(odd, r)
+			n /= r
+		}
+	}
+	twos := 0
+	for n%2 == 0 {
+		twos++
+		n /= 2
+	}
+	if n != 1 {
+		return nil
+	}
+	radices := odd
+	if twos%2 == 1 {
+		radices = append(radices, 2)
+	}
+	for i := 0; i < twos/2; i++ {
+		radices = append(radices, 4)
+	}
+	return radices
+}
+
 // NewPlan builds a plan for an unnormalized DFT of length n in the given
-// direction (inverse plans flip the twiddle sign and, like the naive
-// transform, leave 1/n scaling to the caller).
+// direction (inverse plans flip the twiddle sign and leave the 1/n
+// scaling to the caller).
 func NewPlan(n int, inverse bool) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("fourier: invalid plan length %d", n)
@@ -63,8 +99,8 @@ func NewPlan(n int, inverse bool) (*Plan, error) {
 	if n == 1 {
 		return p, nil
 	}
-	if n&(n-1) == 0 {
-		p.initRadix2()
+	if radices := smoothFactors(n); radices != nil {
+		p.initMixed(radices)
 		return p, nil
 	}
 	if err := p.initBluestein(); err != nil {
@@ -73,83 +109,47 @@ func NewPlan(n int, inverse bool) (*Plan, error) {
 	return p, nil
 }
 
-// initRadix2 precomputes the bit-reversal permutation and the per-stage
-// twiddle tables, using the SAME repeated-multiplication recurrence as the
-// naive radix2 loop so the table entries are bit-identical to the values
-// that loop would compute.
-func (p *Plan) initRadix2() {
-	n := p.n
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	p.perm = make([]int, n)
-	for i := 0; i < n; i++ {
-		p.perm[i] = int(bits.Reverse64(uint64(i)) >> shift)
-	}
-	sign := -1.0
-	if p.inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wStep := cmplx.Rect(1, step)
-		tw := make([]complex128, half)
-		w := complex(1, 0)
-		for k := 0; k < half; k++ {
-			tw[k] = w
-			w *= wStep
-		}
-		p.stages = append(p.stages, tw)
-	}
-}
-
 // initBluestein precomputes the chirp sequence and the forward FFT of the
-// chirp filter, plus the two radix-2 sub-plans for the convolution length.
-// Sub-plans come from the shared cache so different Bluestein lengths with
+// chirp filter, plus the two mixed-radix sub-plans for the convolution
+// length. Sub-plans come from the shared cache so Bluestein lengths with
 // the same padded size share tables.
 func (p *Plan) initBluestein() error {
 	n := p.n
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
+	m := nextSmooth(2*n - 1)
 	p.m = m
-	sign := -1.0
-	if p.inverse {
-		sign = 1.0
-	}
+	sign := p.sign()
 	p.chirp = make([]complex128, n)
 	for k := 0; k < n; k++ {
-		// k*k reduced mod 2n: the chirp phase is periodic with period 2n in
-		// k², and the reduction avoids overflow for very large n. Matches
-		// the naive bluestein exactly.
+		// k² reduced mod 2n: the chirp phase has period 2n in k², and the
+		// reduction keeps the angle small and exact for large n.
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		p.chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+		s, c := math.Sincos(sign * math.Pi * float64(kk) / float64(n))
+		p.chirp[k] = complex(c, s)
 	}
 	var err error
-	p.sub, err = PlanFor(m, false)
-	if err != nil {
+	if p.sub, err = PlanFor(m, false); err != nil {
 		return err
 	}
-	p.subInv, err = PlanFor(m, true)
-	if err != nil {
+	if p.subInv, err = PlanFor(m, true); err != nil {
 		return err
 	}
 	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
-		b[k] = cmplx.Conj(p.chirp[k])
+		b[k] = complex(real(p.chirp[k]), -imag(p.chirp[k]))
+		if k > 0 {
+			b[m-k] = b[k]
+		}
 	}
-	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(p.chirp[k])
-	}
-	p.sub.execRadix2(b)
+	p.sub.execMixed(b)
 	p.bfft = b
 	p.scratch = &sync.Pool{New: func() any { return &[]complex128{} }}
 	return nil
 }
 
 // Transform runs the planned unnormalized DFT in place on x, which must
-// have length N(). The arithmetic — and therefore the output, bit for bit
-// — is identical to the naive transform in fft.go.
+// have length N(). Forward plans compute X[k] = Σ_j x[j]·e^(-2πi·jk/n);
+// inverse plans flip the exponent's sign and leave the 1/n scaling to the
+// caller.
 //
 //declint:hot
 func (p *Plan) Transform(x []complex128) error {
@@ -160,43 +160,43 @@ func (p *Plan) Transform(x []complex128) error {
 	if p.n == 1 {
 		return nil
 	}
-	if p.perm != nil {
-		p.execRadix2(x)
+	if p.stages != nil {
+		p.execMixed(x)
 		return nil
 	}
 	p.execBluestein(x)
 	return nil
 }
 
-// execRadix2 is the iterative Cooley-Tukey butterfly with precomputed
-// permutation and twiddles.
+// execMixed permutes x into digit-reversed order and runs every butterfly
+// stage in place; stage s combines blocks of its span (the product of the
+// radices before it) into blocks radix times longer.
 //
 //declint:hot
-func (p *Plan) execRadix2(x []complex128) {
-	n := p.n
-	for i, j := range p.perm {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
+func (p *Plan) execMixed(x []complex128) {
+	sw := p.swaps
+	for i := 0; i+1 < len(sw); i += 2 {
+		a, b := sw[i], sw[i+1]
+		x[a], x[b] = x[b], x[a]
 	}
-	size := 2
-	for _, tw := range p.stages {
-		half := size >> 1
-		for start := 0; start < n; start += size {
-			blk := x[start : start+size]
-			for k := 0; k < half; k++ {
-				a := blk[k]
-				b := blk[k+half] * tw[k]
-				blk[k] = a + b
-				blk[k+half] = a - b
-			}
-		}
-		size <<= 1
+	for i := range p.stages {
+		s := &p.stages[i]
+		s.run(x)
 	}
 }
 
+// sign is the exponent sign of the plan's twiddles: -1 forward, +1
+// inverse.
+func (p *Plan) sign() float64 {
+	if p.inverse {
+		return 1
+	}
+	return -1
+}
+
 // execBluestein evaluates the chirp-z convolution with the precomputed
-// filter spectrum and pooled scratch.
+// filter spectrum and pooled scratch: a[k] = x[k]·chirp[k] zero-padded to
+// m, a ← IFFT(FFT(a)·bfft)/m, x[k] = a[k]·chirp[k].
 //
 //declint:hot
 func (p *Plan) execBluestein(x []complex128) {
@@ -213,18 +213,35 @@ func (p *Plan) execBluestein(x []complex128) {
 	}
 	// a[n:] is zero: fresh buffers start zeroed and returned buffers are
 	// cleared below.
-	p.sub.execRadix2(a)
+	p.sub.execMixed(a)
 	for i := range a {
 		a[i] *= p.bfft[i]
 	}
-	p.subInv.execRadix2(a)
-	scale := complex(1/float64(m), 0)
+	p.subInv.execMixed(a)
+	scale := 1 / float64(m)
 	for k := 0; k < n; k++ {
-		x[k] = a[k] * scale * p.chirp[k]
+		v := a[k] * p.chirp[k]
+		x[k] = complex(real(v)*scale, imag(v)*scale)
 	}
 	clear(a)
 	*ap = a
 	p.scratch.Put(ap)
+}
+
+// nextSmooth returns the smallest n' >= n whose prime factors are all at
+// most 7.
+func nextSmooth(n int) int {
+	for ; ; n++ {
+		m := n
+		for _, r := range []int{2, 3, 5, 7} {
+			for m%r == 0 {
+				m /= r
+			}
+		}
+		if m == 1 {
+			return n
+		}
+	}
 }
 
 // planCacheCap bounds the global plan cache. Each entry is O(n) complex

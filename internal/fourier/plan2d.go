@@ -2,10 +2,19 @@
 // plans of a forward 2-D DFT for one geometry, so callers that transform
 // many same-sized signals (the detection pipeline scoring a batch of
 // images) resolve the plan cache once per geometry instead of twice per
-// image. Executing through a Plan2D performs exactly the arithmetic of
-// Transform2D/CenteredSpectrum — the plans are the same cached objects
-// PlanFor returns — so planned 2-D output is bit-identical to the
-// unplanned entry points.
+// image.
+//
+// CenteredSpectrumInto is the package's one centered-spectrum
+// implementation (CenteredSpectrum and CenteredSpectrumWith delegate to
+// it). The input plane is real, so its 2-D DFT is Hermitian:
+// F[y][x] = conj(F[(h-y)%h][(w-x)%w]). The transform packs two real rows
+// into each complex row transform, unpacks the Hermitian half (w/2+1
+// columns), runs the column pass on that half only, and mirrors each
+// half-plane bin's log(1+|F|) into the centred plane. Contract: the output
+// matches the complex-input spectrum (log-magnitude of the shifted complex
+// FFT2D, max-normalized) within 1e-12 on the [0, 1] scale (pinned by
+// TestRealSpectrumMatchesComplexPath), and is bit-identical across worker
+// counts and repeated pooled calls.
 package fourier
 
 import (
@@ -45,7 +54,6 @@ func (p *Plan2D) Size() (w, h int) { return p.row.N(), p.col.N() }
 // CenteredSpectrumWith is CenteredSpectrum executing through a prepared
 // plan and honouring ctx cancellation in its parallel passes. A nil plan
 // resolves one from the shared cache; a non-nil plan must match (w, h).
-// Output is bit-identical to CenteredSpectrum for every input.
 func CenteredSpectrumWith(ctx context.Context, p *Plan2D, data []float64, w, h int) ([]float64, error) {
 	if len(data) != w*h {
 		return nil, fmt.Errorf("fourier: data length %d does not match %dx%d", len(data), w, h)
@@ -65,22 +73,23 @@ func CenteredSpectrumWith(ctx context.Context, p *Plan2D, data []float64, w, h i
 	return dst, nil
 }
 
-// specScratch pools the complex working buffers of CenteredSpectrumInto,
-// so a batch of same-geometry spectra (DetectBatch scoring many images
-// through one plan) allocates its transform state once, not per image.
+// specScratch pools the Hermitian half-plane buffers of
+// CenteredSpectrumInto, so a batch of same-geometry spectra allocates its
+// transform state once, not per image.
 var specScratch = sync.Pool{New: func() any { return new([]complex128) }}
 
 // CenteredSpectrumInto computes the centered log-magnitude spectrum of a
-// real (w×h) signal into dst, both sized to the plan's geometry. It is
-// the batch-amortized core of CenteredSpectrum: one pooled complex buffer
-// holds the whole transform (no per-call matrix copies), the 1-D passes
-// run in place through the prepared plans, and the fftshift, log(1+|F|)
-// and max-normalization of Eq. 4 are fused into a single pass that writes
-// dst directly. Every arithmetic step matches CenteredSpectrum — the
-// shift is a pure permutation, log-magnitude is elementwise, and the
-// maximum is order-independent — so output stays bit-identical to the
-// unplanned entry point.
+// real (w×h) signal into dst, both sized to the plan's geometry: the 2-D
+// DFT, fftshift, log(1+|F|), normalized to [0, 1] by its maximum (the
+// paper's Eq. 4 spectrum intensity). Row pairs, column tiles and the
+// normalization run in parallel bands; ctx cancels between chunks.
 func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst []float64) error {
+	return p.centeredSpectrumInto(ctx, data, dst)
+}
+
+// centeredSpectrumInto is CenteredSpectrumInto with parallel options
+// threaded through for the serial-vs-parallel equivalence tests.
+func (p *Plan2D) centeredSpectrumInto(ctx context.Context, data, dst []float64, opts ...parallel.Option) error {
 	w, h := p.Size()
 	if len(data) != w*h {
 		return fmt.Errorf("fourier: data length %d does not match plan geometry %dx%d", len(data), w, h)
@@ -88,70 +97,150 @@ func (p *Plan2D) CenteredSpectrumInto(ctx context.Context, data []float64, dst [
 	if len(dst) != w*h {
 		return fmt.Errorf("fourier: dst length %d does not match plan geometry %dx%d", len(dst), w, h)
 	}
+	hw := w/2 + 1
 	bp := specScratch.Get().(*[]complex128)
 	defer specScratch.Put(bp)
-	buf := *bp
-	if cap(buf) < w*h {
-		buf = make([]complex128, w*h)
-		*bp = buf
+	half := *bp
+	if cap(half) < hw*h {
+		half = make([]complex128, hw*h)
+		*bp = half
 	}
-	buf = buf[:w*h]
-	for i, v := range data {
-		buf[i] = complex(v, 0)
-	}
-	if err := transformPasses(ctx, buf, w, h, p.row, p.col); err != nil {
+	half = half[:hw*h]
+	if err := p.realRows(ctx, data, half, opts); err != nil {
 		return err
 	}
-	centeredInto(dst, buf, w, h)
-	return nil
+	colMax := make([]float64, hw)
+	if err := p.logMagColumns(ctx, half, dst, colMax, opts); err != nil {
+		return err
+	}
+	var mx float64
+	for _, v := range colMax {
+		if v > mx {
+			mx = v
+		}
+	}
+	if mx <= 0 {
+		return nil
+	}
+	inv := 1 / mx
+	normOpts := append([]parallel.Option{
+		parallel.Grain(parallel.GrainForWidth(w, minTransformWork)),
+	}, opts...)
+	return parallel.For(ctx, h, func(lo, hi int) error {
+		band := dst[lo*w : hi*w]
+		for i := range band {
+			band[i] *= inv
+		}
+		return nil
+	}, normOpts...)
 }
 
-// centeredInto fuses Shift + LogMagnitude + max-normalization: dst at the
-// shifted position receives log(1+|F|) of each spectrum element, then one
-// scan normalizes by the maximum. Identical arithmetic to the composed
-// form, without the two intermediate matrices.
+// realRows writes the Hermitian half (columns 0..w/2) of every row's DFT
+// into half (row stride w/2+1). Rows 2j and 2j+1 share one complex
+// transform of z = a + i·b, split by A[k] = (Z[k] + conj Z[w-k])/2 and
+// B[k] = (Z[k] - conj Z[w-k])/2i; an odd h leaves the last row to a
+// transform of its own.
+func (p *Plan2D) realRows(ctx context.Context, data []float64, half []complex128, opts []parallel.Option) error {
+	w, h := p.Size()
+	hw := w/2 + 1
+	rowOpts := append([]parallel.Option{
+		parallel.Grain(parallel.GrainForWidth(2*w, minTransformWork)),
+	}, opts...)
+	return parallel.For(ctx, (h+1)/2, func(lo, hi int) error {
+		zp := colScratch.Get().(*[]complex128)
+		defer colScratch.Put(zp)
+		z := *zp
+		if cap(z) < w {
+			z = make([]complex128, w)
+			*zp = z
+		}
+		z = z[:w]
+		for y := 2 * lo; y < 2*hi && y < h; y += 2 {
+			a := data[y*w : (y+1)*w]
+			ha := half[y*hw : (y+1)*hw]
+			if y+1 == h {
+				for x, v := range a {
+					z[x] = complex(v, 0)
+				}
+				if err := p.row.Transform(z); err != nil {
+					return err
+				}
+				copy(ha, z)
+				continue
+			}
+			b := data[(y+1)*w : (y+2)*w]
+			for x, v := range a {
+				z[x] = complex(v, b[x])
+			}
+			if err := p.row.Transform(z); err != nil {
+				return err
+			}
+			unpackPair(ha, half[(y+1)*hw:(y+2)*hw], z)
+		}
+		return nil
+	}, rowOpts...)
+}
+
+// logMagColumns runs the column pass over the Hermitian half-plane (row
+// stride w/2+1) and writes log(1+|F|) of every bin, and of its mirror
+// image, into the centred plane dst; colMax[x] receives column x's largest
+// value.
+func (p *Plan2D) logMagColumns(ctx context.Context, half []complex128, dst, colMax []float64, opts []parallel.Option) error {
+	w, h := p.Size()
+	return columnTiles(ctx, half, len(colMax), h, p.col, func(tile []complex128, x0, nb int) {
+		logMagTile(dst, tile, colMax[x0:x0+nb], w, h, x0)
+	}, opts)
+}
+
+// unpackPair splits the DFT z of a + i·b (a, b real) into the half
+// spectra of a and b: ha[k] = (z[k] + conj z[-k])/2 and
+// hb[k] = (z[k] - conj z[-k])/2i, indices mod len(z).
 //
 //declint:hot
-func centeredInto(dst []float64, spec []complex128, w, h int) {
-	hw, hh := (w+1)/2, (h+1)/2
-	for y := 0; y < h; y++ {
-		ny := (y + h - hh) % h
-		for x := 0; x < w; x++ {
-			nx := (x + w - hw) % w
-			dst[ny*w+nx] = math.Log1p(cmplx.Abs(spec[y*w+x]))
-		}
-	}
-	var mx float64
-	for _, v := range dst {
-		if v > mx {
-			mx = v
-		}
-	}
-	if mx > 0 {
-		inv := 1 / mx
-		for i := range dst {
-			dst[i] *= inv
-		}
+func unpackPair(ha, hb, z []complex128) {
+	w := len(z)
+	for k := range ha {
+		zk, zm := z[k], z[(w-k)%w]
+		ha[k] = complex(0.5*(real(zk)+real(zm)), 0.5*(imag(zk)-imag(zm)))
+		hb[k] = complex(0.5*(imag(zk)+imag(zm)), 0.5*(real(zm)-real(zk)))
 	}
 }
 
-// centeredFromSpectrum runs the shift/log-magnitude/normalize tail shared
-// by CenteredSpectrum and CenteredSpectrumWith.
-func centeredFromSpectrum(spec *Matrix) []float64 {
-	logMag := LogMagnitude(Shift(spec))
-	var mx float64
-	for _, v := range logMag {
-		if v > mx {
-			mx = v
+// logMagTile writes log(1+|F|) of a tile of transformed half-plane
+// columns x0.. (column-major, len(colMax) columns of h) into the centred
+// w×h plane dst, and records each column's maximum in colMax. Column x
+// lands at centred column (x + w/2) % w; for 0 < x < w/2 (strictly) the
+// Hermitian mirror F[(h-y)%h][w-x] = conj F[y][x] fills column w-x with
+// the same value. It evaluates log(1+|F|) as math.Log(1 + |F|) rather
+// than math.Log1p: Log has an assembly fast path, and where Log1p would be
+// more accurate (tiny |F|) the absolute difference stays below 2⁻⁵².
+//
+//declint:hot
+func logMagTile(dst []float64, tile []complex128, colMax []float64, w, h, x0 int) {
+	var cx, mx [colBlock]int
+	nb := len(colMax)
+	for k := 0; k < nb; k++ {
+		x := x0 + k
+		cx[k] = (x + w/2) % w
+		mx[k] = -1
+		if x > 0 && 2*x < w {
+			mx[k] = (w - x + w/2) % w
 		}
 	}
-	if mx > 0 {
-		inv := 1 / mx
-		for i := range logMag {
-			logMag[i] *= inv
+	for y := 0; y < h; y++ {
+		row := dst[((y+h/2)%h)*w:][:w]
+		mirror := dst[(((h-y)%h+h/2)%h)*w:][:w]
+		for k := 0; k < nb; k++ {
+			v := math.Log(1 + cmplx.Abs(tile[k*h+y]))
+			row[cx[k]] = v
+			if mx[k] >= 0 {
+				mirror[mx[k]] = v
+			}
+			if v > colMax[k] {
+				colMax[k] = v
+			}
 		}
 	}
-	return logMag
 }
 
 // transform2DWith is transform2D with both axis plans supplied by the
@@ -176,9 +265,9 @@ const colBlock = 8
 // colBlock columns into pooled column-major scratch — walking the matrix
 // row by row, so every row read is contiguous — transforms each gathered
 // column in place, and scatters the tile back the same way. The per-column
-// arithmetic is exactly transformColumnsReference's; only the memory walk
-// order changes, so results are bit-identical (pinned by the blocked-vs-
-// reference equivalence test).
+// arithmetic does not depend on the tiling, so results are bit-identical
+// to a one-column-at-a-time pass (pinned by the blocked-vs-reference
+// equivalence test).
 func transformPasses(ctx context.Context, data []complex128, w, h int, rowPlan, colPlan *Plan, opts ...parallel.Option) error {
 	// Rows: each chunk transforms a disjoint band of rows in place.
 	rowOpts := append([]parallel.Option{
@@ -195,6 +284,18 @@ func transformPasses(ctx context.Context, data []complex128, w, h int, rowPlan, 
 	if err != nil {
 		return err
 	}
+	return columnTiles(ctx, data, w, h, colPlan, func(tile []complex128, x0, nb int) {
+		scatterColumns(data, tile, w, h, x0, nb)
+	}, opts)
+}
+
+// columnTiles transforms every column of a row-major (w×h) complex matrix
+// through colPlan, colBlock columns at a time: each chunk gathers a tile
+// into pooled column-major scratch, transforms each column in place and
+// hands the tile, its first column and its width to emit. Chunks own
+// disjoint column bands, and a column's arithmetic does not depend on the
+// tiling.
+func columnTiles(ctx context.Context, data []complex128, w, h int, colPlan *Plan, emit func(tile []complex128, x0, nb int), opts []parallel.Option) error {
 	colOpts := append([]parallel.Option{
 		parallel.Grain(parallel.GrainForWidth(h, minTransformWork)),
 	}, opts...)
@@ -208,17 +309,14 @@ func transformPasses(ctx context.Context, data []complex128, w, h int, rowPlan, 
 		}
 		tile = tile[:colBlock*h]
 		for x0 := lo; x0 < hi; x0 += colBlock {
-			nb := hi - x0
-			if nb > colBlock {
-				nb = colBlock
-			}
+			nb := min(colBlock, hi-x0)
 			gatherColumns(tile, data, w, h, x0, nb)
 			for k := 0; k < nb; k++ {
 				if err := colPlan.Transform(tile[k*h : (k+1)*h]); err != nil {
 					return err
 				}
 			}
-			scatterColumns(data, tile, w, h, x0, nb)
+			emit(tile, x0, nb)
 		}
 		return nil
 	}, colOpts...)
@@ -249,35 +347,4 @@ func scatterColumns(data, tile []complex128, w, h, x0, nb int) {
 			row[k] = tile[k*h+y]
 		}
 	}
-}
-
-// transformColumnsReference is the pre-blocking column pass — gather one
-// column at a time, transform, scatter — retained as the bit-equality
-// reference and benchmark baseline for the blocked transposes.
-func transformColumnsReference(ctx context.Context, data []complex128, w, h int, colPlan *Plan, opts ...parallel.Option) error {
-	colOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(h, minTransformWork)),
-	}, opts...)
-	return parallel.For(ctx, w, func(lo, hi int) error {
-		cp := colScratch.Get().(*[]complex128)
-		defer colScratch.Put(cp)
-		col := *cp
-		if cap(col) < h {
-			col = make([]complex128, h)
-			*cp = col
-		}
-		col = col[:h]
-		for x := lo; x < hi; x++ {
-			for y := 0; y < h; y++ {
-				col[y] = data[y*w+x]
-			}
-			if err := colPlan.Transform(col); err != nil {
-				return err
-			}
-			for y := 0; y < h; y++ {
-				data[y*w+x] = col[y]
-			}
-		}
-		return nil
-	}, colOpts...)
 }

@@ -2,6 +2,8 @@ package fourier
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -174,9 +176,10 @@ func BenchmarkFFT2DBlocked256(b *testing.B) { benchmarkColumns2D(b, true) }
 // BenchmarkFFT2DPerColumn256 is the one-column-at-a-time reference pass.
 func BenchmarkFFT2DPerColumn256(b *testing.B) { benchmarkColumns2D(b, false) }
 
-// BenchmarkCenteredSpectrumInto256 is the batch-amortized spectrum path —
-// one plan, pooled scratch, fused tail — against the composed
-// BenchmarkCenteredSpectrum256 baseline.
+// BenchmarkCenteredSpectrumInto256 is the production spectrum path — one
+// plan, real-input transform, pooled half-plane scratch, fused tail —
+// against the composed complex-input BenchmarkCenteredSpectrum256
+// baseline.
 func BenchmarkCenteredSpectrumInto256(b *testing.B) {
 	rng := rand.New(rand.NewSource(94))
 	data := make([]float64, 256*256)
@@ -197,7 +200,10 @@ func BenchmarkCenteredSpectrumInto256(b *testing.B) {
 	}
 }
 
-// BenchmarkCenteredSpectrum256 is the composed unplanned spectrum.
+// BenchmarkCenteredSpectrum256 is the composed complex-input spectrum
+// (complexCenteredSpectrum: FromReal, FFT2D, shift, log-magnitude and
+// normalization as separate allocating passes), the reference the real-input
+// path is pinned against.
 func BenchmarkCenteredSpectrum256(b *testing.B) {
 	rng := rand.New(rand.NewSource(94))
 	data := make([]float64, 256*256)
@@ -207,8 +213,197 @@ func BenchmarkCenteredSpectrum256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CenteredSpectrum(data, 256, 256); err != nil {
+		if _, err := complexCenteredSpectrum(data, 256, 256); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// realSpectrumTol bounds the real-input spectrum's deviation from the
+// complex-input oracle on the [0, 1]-normalized plane, for the seeded
+// noise planes below. Measured deviations are ~1e-15 at small geometries
+// and ~1e-13 at 1024×768.
+const realSpectrumTol = 1e-12
+
+// randomPlane fills a w×h plane with 8-bit-range noise.
+func randomPlane(rng *rand.Rand, w, h int) []float64 {
+	data := make([]float64, w*h)
+	for i := range data {
+		data[i] = math.Round(rng.Float64() * 255)
+	}
+	return data
+}
+
+// maxAbsDiff returns max |a[i]-b[i]| and its index.
+func maxAbsDiff(a, b []float64) (float64, int) {
+	worst, at := 0.0, -1
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > worst || at < 0 {
+			worst, at = d, i
+		}
+	}
+	return worst, at
+}
+
+// TestRealSpectrumMatchesComplexPath pins the real-input spectrum (row
+// pairs, Hermitian half, mirrored log-magnitude) against the complex-input
+// oracle: full complex FFT2D, shift, log-magnitude, normalize. Geometries
+// cover even and odd w and h, an odd h whose last row has no partner,
+// single rows and columns, Bluestein axes, and the paper's geometries.
+func TestRealSpectrumMatchesComplexPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	geoms := []struct{ w, h int }{
+		{1, 1}, {1, 2}, {2, 1}, {1, 7}, {9, 1}, {2, 2},
+		{8, 8}, {8, 9}, {9, 8}, {9, 9}, {16, 3}, {3, 16},
+		{17, 31}, {30, 11}, {23, 41}, {64, 48},
+		{800, 600}, {1024, 768}, {768, 1024}, {854, 480},
+	}
+	for _, g := range geoms {
+		data := randomPlane(rng, g.w, g.h)
+		want, err := complexCenteredSpectrum(data, g.w, g.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CenteredSpectrum(data, g.w, g.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, i := maxAbsDiff(got, want)
+		if d > realSpectrumTol {
+			t.Errorf("%dx%d: sample %d: real path %v vs complex path %v (|Δ| = %.3g > %.0g)",
+				g.w, g.h, i, got[i], want[i], d, realSpectrumTol)
+		}
+		t.Logf("%dx%d: max |Δ| = %.3g", g.w, g.h, d)
+	}
+}
+
+// TestCenteredSpectrumSerialParallelBitIdentical: the real-input spectrum
+// must be bit-identical across worker counts and chunkings, including odd
+// heights (unpaired last row) and widths that leave ragged column tiles.
+func TestCenteredSpectrumSerialParallelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	for _, g := range []struct{ w, h int }{{1, 5}, {7, 1}, {9, 7}, {17, 33}, {64, 48}, {100, 75}, {224, 224}} {
+		p, err := Plan2DFor(g.w, g.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := randomPlane(rng, g.w, g.h)
+		want := make([]float64, len(data))
+		if err := p.centeredSpectrumInto(context.Background(), data, want, parallel.Workers(1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got := make([]float64, len(data))
+			if err := p.centeredSpectrumInto(context.Background(), data, got, parallel.Workers(workers), parallel.Grain(1)); err != nil {
+				t.Fatal(err)
+			}
+			if i := testutil.FirstDiff(got, want); i != -1 {
+				t.Fatalf("%dx%d workers=%d: sample %d: %v vs serial %v", g.w, g.h, workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCenteredSpectrumIntoCancellation: a cancelled context stops the
+// spectrum with the context's error.
+func TestCenteredSpectrumIntoCancellation(t *testing.T) {
+	p, err := Plan2DFor(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	data := make([]float64, 64*64)
+	if err := p.CenteredSpectrumInto(ctx, data, make([]float64, len(data))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled spectrum returned %v, want context.Canceled", err)
+	}
+}
+
+// FuzzCenteredSpectrum drives the real-input spectrum with arbitrary
+// small geometries and byte planes. It must never panic, must stay in
+// [0, 1], and must match the complex-input oracle within the rounding
+// bound of a length-N FFT: each bin is a sum of N terms, so its error is
+// at most ~ε·log₂N·Σ|x|, and log1p and the normalization by the maximum
+// only shrink it.
+func FuzzCenteredSpectrum(f *testing.F) {
+	f.Add(uint8(1), uint8(1), []byte{7})
+	f.Add(uint8(8), uint8(9), []byte("odd height leaves the last row unpaired"))
+	f.Add(uint8(11), uint8(13), []byte{0, 255, 0, 255, 3})
+	f.Add(uint8(32), uint8(1), []byte{255})
+	f.Fuzz(func(t *testing.T, w, h uint8, pix []byte) {
+		width, height := int(w%48)+1, int(h%48)+1
+		n := width * height
+		data := make([]float64, n)
+		var l1 float64
+		for i := range data {
+			if len(pix) > 0 {
+				data[i] = float64(pix[i%len(pix)])
+			}
+			l1 += data[i]
+		}
+		got, err := CenteredSpectrum(data, width, height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := complexCenteredSpectrum(data, width, height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mx float64 // the oracle's normalizer: log1p of the largest |F|
+		for _, v := range logMagnitude(mustFFT2D(t, data, width, height)) {
+			mx = math.Max(mx, v)
+		}
+		tol := realSpectrumTol
+		if mx > 0 {
+			tol += 16 * 0x1p-52 * math.Log2(float64(2*n)) * l1 / mx
+		}
+		for i, v := range got {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("%dx%d: sample %d = %v outside [0, 1]", width, height, i, v)
+			}
+		}
+		if d, i := maxAbsDiff(got, want); d > tol {
+			t.Fatalf("%dx%d: sample %d: real path %v vs complex path %v (|Δ| = %.3g > %.3g)",
+				width, height, i, got[i], want[i], d, tol)
+		}
+	})
+}
+
+func mustFFT2D(t *testing.T, data []float64, w, h int) *Matrix {
+	t.Helper()
+	m, err := FromReal(data, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := FFT2D(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// benchmarkCenteredSpectrumInto times the pooled real-input spectrum at
+// one geometry with 8-bit noise input.
+func benchmarkCenteredSpectrumInto(b *testing.B, w, h int) {
+	data := randomPlane(rand.New(rand.NewSource(97)), w, h)
+	p, err := Plan2DFor(w, h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, len(data))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.CenteredSpectrumInto(context.Background(), data, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCenteredSpectrumInto1024x768 is the gateway geometry of the
+// paper's run-time deployment.
+func BenchmarkCenteredSpectrumInto1024x768(b *testing.B) { benchmarkCenteredSpectrumInto(b, 1024, 768) }
+
+// BenchmarkCenteredSpectrumInto800x600 is the ~800×600 source geometry
+// of the paper's evaluation.
+func BenchmarkCenteredSpectrumInto800x600(b *testing.B) { benchmarkCenteredSpectrumInto(b, 800, 600) }

@@ -42,10 +42,11 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatalf("size gauge = %d, cache len = %d", got, planCacheLen())
 	}
 
-	// A Bluestein length pulls its radix-2 sub-plans through the same
-	// cache: one top-level miss plus two sub-plan misses.
+	// A Bluestein length (11 is prime) pulls its mixed-radix sub-plans
+	// (length 21 = 3·7, both directions) through the same cache: one
+	// top-level miss plus two sub-plan misses.
 	m1 := misses.Value()
-	if _, err := PlanFor(12, false); err != nil {
+	if _, err := PlanFor(11, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := misses.Value() - m1; got != 3 {

@@ -323,6 +323,24 @@ func blurSeparable(ctx context.Context, src []float64, w, h int, kern []float64,
 	return dst, nil
 }
 
+// GaussianBlur smooths the single-channel w×h plane src into dst with a
+// separable, normalized Gaussian of the given radius and sigma (the
+// memoized window SSIM uses) under replicate borders. Both passes run in
+// parallel bands and honour ctx; the row-pass buffer comes from the
+// scratch pool. Each output sample sums its taps in ascending order, so
+// the result is bit-identical across worker counts.
+//
+//declint:nan-ok a pure convolution: NaN/Inf samples propagate to the outputs whose windows cover them
+func GaussianBlur(ctx context.Context, dst, src []float64, w, h, radius int, sigma float64) error {
+	if w <= 0 || h <= 0 || len(src) != w*h || len(dst) != w*h {
+		return fmt.Errorf("metrics: blur planes of %d and %d samples do not match %dx%d", len(src), len(dst), w, h)
+	}
+	if radius < 0 || !(sigma > 0) {
+		return fmt.Errorf("metrics: invalid Gaussian window radius %d, sigma %v", radius, sigma)
+	}
+	return blurInto(ctx, dst, src, w, h, kernelFor(radius, sigma))
+}
+
 // blurInto is blurSeparable writing into a caller-provided destination
 // (len(dst) == len(src) == w*h), drawing its intermediate row-pass buffer
 // from the scratch pool.

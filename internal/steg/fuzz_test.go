@@ -104,7 +104,7 @@ func FuzzLabelComponents(f *testing.F) {
 			t.Fatalf("component areas sum to %d, want %d foreground pixels", total, fg)
 		}
 		for i, l := range labels {
-			if l < 0 || l > len(areas) {
+			if l < 0 || int(l) > len(areas) {
 				t.Fatalf("pixel %d has out-of-range label %d", i, l)
 			}
 			if (l != 0) != mask[i] {

@@ -1,20 +1,22 @@
 // Package steg implements Decamouflage's steganalysis detection method
 // (Section III-C of the paper): the attack's perturbation forms a
-// near-periodic pixel comb, whose Fourier spectrum therefore contains
-// replicated bright peaks at multiples of the downsampling frequency; a
-// benign image's centered spectrum has a single bright center. The CSP
-// metric counts those "centered spectrum points" by smoothing and
-// binarizing the centered log-magnitude spectrum and counting connected
-// bright components (the paper's low-pass + contour-detection step).
+// near-periodic pixel comb, so its Fourier spectrum holds bright replicas
+// at multiples of the downsampling frequency, while a benign image's
+// centered spectrum has one bright center. The CSP metric counts these
+// "centered spectrum points" by smoothing, binarizing and labelling the
+// centered log-magnitude spectrum (the paper's low-pass + contour step).
 package steg
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"decamouflage/internal/fourier"
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/metrics"
 )
 
 // Options parameterizes the CSP computation. The paper leaves the low-pass
@@ -30,9 +32,8 @@ type Options struct {
 	// speckle into stable blobs). Default 1.0; set negative to disable.
 	SmoothSigma float64
 	// MinArea drops connected components smaller than this many pixels.
-	// Attack replicas are compact blobs whose area scales with the image,
-	// while benign speckle stays a few pixels, so the default scales as
-	// max(4, W·H/1600). Set explicitly (>= 1) to override.
+	// Replicas are blobs whose area scales with the image, benign speckle
+	// stays small: the default is max(4, W·H/1600); set >= 1 to override.
 	MinArea int
 }
 
@@ -42,10 +43,9 @@ func DefaultOptions() Options {
 }
 
 // Resolved returns the options with every unset field replaced by its
-// default for a w×h spectrum. Resolving is idempotent, so resolved options
-// are a stable identity for a CSP configuration: two Options values that
+// default for a w×h spectrum. Resolving is idempotent, so two Options that
 // resolve equal produce identical analyses on the same spectrum (the
-// detection pipeline keys its memoized CSP stage on this).
+// detection pipeline keys its memoized CSP stage on the resolved value).
 func (o Options) Resolved(w, h int) Options { return o.withDefaults(w, h) }
 
 func (o Options) withDefaults(w, h int) Options {
@@ -136,14 +136,21 @@ func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) 
 		return nil, err
 	}
 	if opts.SmoothSigma > 0 {
-		spec = gaussianBlur2D(spec, w, h, opts.SmoothSigma)
+		blurred := make([]float64, len(spec))
+		r := int(opts.SmoothSigma*3) + 1
+		if err := metrics.GaussianBlur(context.Background(), blurred, spec, w, h, r, opts.SmoothSigma); err != nil {
+			return nil, fmt.Errorf("steg: smoothing: %w", err)
+		}
+		spec = blurred
 		renormalize(spec)
 	}
 	mask := make([]bool, len(spec))
 	for i, v := range spec {
 		mask[i] = v >= opts.BinarizeThreshold
 	}
-	labels, areas := LabelComponents(mask, w, h)
+	sc := labelPool.Get().(*labelScratch)
+	defer labelPool.Put(sc)
+	labels, areas := sc.label(mask, w)
 	// Per-component centroids.
 	cx := make([]float64, len(areas))
 	cy := make([]float64, len(areas))
@@ -371,25 +378,47 @@ var ErrMaskSize = errors.New("steg: mask length does not match dimensions")
 // (row-major w×h). It returns a label per pixel (0 = background, components
 // numbered from 1) and the area of each component (index i holds component
 // i+1's area). Malformed input yields nil results.
-func LabelComponents(mask []bool, w, h int) (labels []int, areas []int) {
+func LabelComponents(mask []bool, w, h int) (labels []int32, areas []int) {
 	if len(mask) != w*h || w <= 0 || h <= 0 {
 		return nil, nil
 	}
-	labels = make([]int, len(mask))
-	var queue []int
-	next := 0
+	var sc labelScratch
+	return sc.label(mask, w)
+}
+
+// labelScratch holds the working buffers of one labelling: the label plane
+// and the flood-fill stack. AnalyzeSpectrum draws them from labelPool, so a
+// stream of same-geometry spectra labels without allocating either.
+type labelScratch struct {
+	labels []int32
+	stack  []int
+}
+
+var labelPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// label fills sc.labels for a row-major mask of width w (len(mask) a
+// positive multiple of w) and returns it with the component areas.
+func (sc *labelScratch) label(mask []bool, w int) (labels []int32, areas []int) {
+	n := len(mask)
+	h := n / w
+	if cap(sc.labels) < n {
+		sc.labels = make([]int32, n)
+	}
+	labels = sc.labels[:n]
+	clear(labels)
+	stack := sc.stack[:0]
+	var next int32
 	for start, fg := range mask {
 		if !fg || labels[start] != 0 {
 			continue
 		}
 		next++
 		area := 0
-		queue = queue[:0]
-		queue = append(queue, start)
+		stack = append(stack, start)
 		labels[start] = next
-		for len(queue) > 0 {
-			p := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			area++
 			px, py := p%w, p/w
 			for dy := -1; dy <= 1; dy++ {
@@ -404,13 +433,14 @@ func LabelComponents(mask []bool, w, h int) (labels []int, areas []int) {
 					q := ny*w + nx
 					if mask[q] && labels[q] == 0 {
 						labels[q] = next
-						queue = append(queue, q)
+						stack = append(stack, q)
 					}
 				}
 			}
 		}
 		areas = append(areas, area)
 	}
+	sc.stack = stack
 	return labels, areas
 }
 
@@ -434,54 +464,6 @@ func (a *Analysis) MaskImage() *imgcore.Image {
 		}
 	}
 	return img
-}
-
-// gaussianBlur2D applies a separable Gaussian with the given sigma (radius
-// 3σ+1) and replicate borders.
-func gaussianBlur2D(src []float64, w, h int, sigma float64) []float64 {
-	r := int(sigma*3) + 1
-	k := make([]float64, 2*r+1)
-	var s float64
-	for i := -r; i <= r; i++ {
-		k[i+r] = math.Exp(-float64(i*i) / (2 * sigma * sigma))
-		s += k[i+r]
-	}
-	for i := range k {
-		k[i] /= s
-	}
-	tmp := make([]float64, len(src))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var v float64
-			for d := -r; d <= r; d++ {
-				xx := x + d
-				if xx < 0 {
-					xx = 0
-				} else if xx >= w {
-					xx = w - 1
-				}
-				v += k[d+r] * src[y*w+xx]
-			}
-			tmp[y*w+x] = v
-		}
-	}
-	out := make([]float64, len(src))
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			var v float64
-			for d := -r; d <= r; d++ {
-				yy := y + d
-				if yy < 0 {
-					yy = 0
-				} else if yy >= h {
-					yy = h - 1
-				}
-				v += k[d+r] * tmp[yy*w+x]
-			}
-			out[y*w+x] = v
-		}
-	}
-	return out
 }
 
 // renormalize rescales a non-negative field so its maximum is 1.
