@@ -56,6 +56,7 @@ var speedupPairs = []struct {
 	{"BenchmarkCoeffFor64to16", "BenchmarkBuildCoeff64to16", "memoized coefficient lookup"},
 	{"BenchmarkFFT2DBlocked256", "BenchmarkFFT2DPerColumn256", "cache-blocked FFT columns"},
 	{"BenchmarkCenteredSpectrumInto256", "BenchmarkCenteredSpectrum256", "real-input centered spectrum"},
+	{"BenchmarkSSIM1024x768", "BenchmarkSSIMLegacy1024x768", "fused streaming SSIM"},
 	{"BenchmarkEnsemblePipeline", "BenchmarkEnsembleLegacy", "stage-DAG ensemble"},
 	{"BenchmarkEnsembleU8", "BenchmarkEnsemblePipeline", "quantized ensemble"},
 }

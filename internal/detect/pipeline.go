@@ -497,12 +497,12 @@ func (in *Intermediates) csp(ctx context.Context, opts steg.Options) (int, error
 			return nil, err
 		}
 		_, st := obs.StartStage(ctx, "pipeline.csp", in.pipe.cspH)
-		a, err := steg.AnalyzeSpectrum(spec, in.img.W, in.img.H, key.gopts)
+		n, err := steg.CountSpectrum(spec, in.img.W, in.img.H, key.gopts)
 		st.End()
 		if err != nil {
 			return nil, err
 		}
-		return a.Count, nil
+		return n, nil
 	})
 	if err != nil {
 		return 0, err

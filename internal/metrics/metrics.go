@@ -91,15 +91,21 @@ func DefaultSSIM() SSIMOptions {
 	return SSIMOptions{WindowRadius: 5, Sigma: 1.5, K1: 0.01, K2: 0.03, L: 255}
 }
 
+// validate rejects options the SSIM formula cannot use: a window radius
+// below 1, a non-finite or non-positive Sigma or L, and a non-finite or
+// negative K1 or K2. The comparisons are written so NaN fails them.
 func (o SSIMOptions) validate() error {
 	if o.WindowRadius < 1 {
 		return fmt.Errorf("metrics: window radius %d < 1", o.WindowRadius)
 	}
-	if o.Sigma <= 0 {
-		return fmt.Errorf("metrics: sigma %v <= 0", o.Sigma)
+	if !(o.Sigma > 0) || math.IsInf(o.Sigma, 1) {
+		return fmt.Errorf("metrics: sigma %v is not a positive finite number", o.Sigma)
 	}
-	if o.L <= 0 {
-		return fmt.Errorf("metrics: dynamic range %v <= 0", o.L)
+	if !(o.L > 0) || math.IsInf(o.L, 1) {
+		return fmt.Errorf("metrics: dynamic range %v is not a positive finite number", o.L)
+	}
+	if !(o.K1 >= 0) || math.IsInf(o.K1, 1) || !(o.K2 >= 0) || math.IsInf(o.K2, 1) {
+		return fmt.Errorf("metrics: stabilization constants K1 %v, K2 %v are not non-negative finite numbers", o.K1, o.K2)
 	}
 	return nil
 }
@@ -121,7 +127,8 @@ func SSIM(a, b *imgcore.Image) (float64, error) {
 //
 //	SSIM = ((2·μaμb + c1)(2·σab + c2)) / ((μa² + μb² + c1)(σa² + σb² + c2))
 //
-// and averaged over all pixel positions.
+// and averaged over all pixel positions. It prepares a's side as an
+// SSIMRef and scores b against it.
 //
 //declint:nan-ok shape validation runs in ssimWith; NaN samples propagate to the score
 func SSIMWith(a, b *imgcore.Image, opts SSIMOptions) (float64, error) {
@@ -129,92 +136,17 @@ func SSIMWith(a, b *imgcore.Image, opts SSIMOptions) (float64, error) {
 }
 
 // ssimWith is SSIMWith with parallel options threaded through for the
-// serial-vs-parallel equivalence tests. The Gaussian sweeps and the
-// per-pixel product maps run in parallel bands; the final mean stays a
-// serial reduction so the summation order — and therefore the result — is
-// identical for every worker count.
+// serial-vs-parallel equivalence tests.
 func ssimWith(ctx context.Context, a, b *imgcore.Image, opts SSIMOptions, popts ...parallel.Option) (float64, error) {
 	if err := checkPair(a, b); err != nil {
 		return 0, err
 	}
-	if err := opts.validate(); err != nil {
+	ref, err := NewSSIMRef(ctx, a, opts, popts...)
+	if err != nil {
 		return 0, err
 	}
-	w, h := a.W, a.H
-	gaPix, gaP := grayPix(a)
-	if gaP != nil {
-		defer putScratch(gaP)
-	}
-	gbPix, gbP := grayPix(b)
-	if gbP != nil {
-		defer putScratch(gbP)
-	}
-
-	kern := kernelFor(opts.WindowRadius, opts.Sigma)
-
-	// Every working buffer comes from the package scratch pool and is fully
-	// overwritten before it is read, so reuse across calls cannot leak state;
-	// the arithmetic and its order are unchanged from the allocating version,
-	// keeping results bit-identical call over call. The five blur passes
-	// share one pair of option slices (identical geometry).
-	rowOpts, colOpts := blurOpts(w, h, len(kern), popts)
-	n := w * h
-	muAp, muBp := getScratch(n), getScratch(n)
-	defer putScratch(muAp)
-	defer putScratch(muBp)
-	muA, muB := *muAp, *muBp
-	if err := blurWith(ctx, muA, gaPix, w, h, kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-	if err := blurWith(ctx, muB, gbPix, w, h, kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-
-	aap, bbp, abp := getScratch(n), getScratch(n), getScratch(n)
-	defer putScratch(aap)
-	defer putScratch(bbp)
-	defer putScratch(abp)
-	aa, bb, ab := *aap, *bbp, *abp
-	prodOpts := append([]parallel.Option{parallel.Grain(minBlurWork)}, popts...)
-	if err := parallel.For(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			aa[i] = gaPix[i] * gaPix[i]
-			bb[i] = gbPix[i] * gbPix[i]
-			ab[i] = gaPix[i] * gbPix[i]
-		}
-		return nil
-	}, prodOpts...); err != nil {
-		return 0, err
-	}
-	sAAp, sBBp, sABp := getScratch(n), getScratch(n), getScratch(n)
-	defer putScratch(sAAp)
-	defer putScratch(sBBp)
-	defer putScratch(sABp)
-	sAA, sBB, sAB := *sAAp, *sBBp, *sABp
-	if err := blurWith(ctx, sAA, aa, w, h, kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-	if err := blurWith(ctx, sBB, bb, w, h, kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-	if err := blurWith(ctx, sAB, ab, w, h, kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-
-	c1 := (opts.K1 * opts.L) * (opts.K1 * opts.L)
-	c2 := (opts.K2 * opts.L) * (opts.K2 * opts.L)
-
-	var sum float64
-	for i := 0; i < n; i++ {
-		ma, mb := muA[i], muB[i]
-		varA := sAA[i] - ma*ma
-		varB := sBB[i] - mb*mb
-		cov := sAB[i] - ma*mb
-		num := (2*ma*mb + c1) * (2*cov + c2)
-		den := (ma*ma + mb*mb + c1) * (varA + varB + c2)
-		sum += num / den
-	}
-	return sum / float64(n), nil
+	defer ref.Release()
+	return ref.ScoreCtx(ctx, b, popts...)
 }
 
 // gaussianKernel returns a normalized 1-D Gaussian of radius r. It always
@@ -262,39 +194,45 @@ func kernelFor(r int, sigma float64) []float64 {
 	return k
 }
 
-// grayPix returns the luminance samples of img using the same BT.601
-// weights as imgcore's Gray. Single-channel inputs are returned as a
-// read-only view of img.Pix with a nil pool pointer; multi-channel inputs
-// are converted into a pooled buffer the caller must release with
-// putScratch.
-//
-//declint:owns result 1
-func grayPix(img *imgcore.Image) ([]float64, *[]float64) {
-	if img.C == 1 {
-		return img.Pix, nil
-	}
-	n := img.W * img.H
-	bp := getScratch(n)
-	buf := *bp
-	for i := 0; i < n; i++ {
-		r := img.Pix[i*3]
-		g := img.Pix[i*3+1]
-		b := img.Pix[i*3+2]
-		buf[i] = 0.299*r + 0.587*g + 0.114*b
-	}
-	return buf, bp
-}
+// scratchPool recycles the whole-plane float64 buffers of SSIMRef and
+// the SSIM term plane; bandPool recycles the streaming kernel's per-band
+// ring and line buffers, which are a few dozen rows long. Keeping the two
+// sizes apart matters: a plane borrow handed a band buffer would drop it
+// and allocate a fresh plane. A pool per power-of-two size class keeps
+// them apart too, but strands plane buffers in classes a mixed-geometry
+// stream has moved away from, which raises peak memory. Buffers are not
+// zeroed on reuse: every consumer fully overwrites its buffer before
+// reading it.
+var (
+	scratchPool = sync.Pool{New: func() any { return &[]float64{} }}
+	bandPool    = sync.Pool{New: func() any { return &[]float64{} }}
+)
 
-// scratchPool recycles the float64 working buffers of ssimWith and
-// blurInto. Buffers are not zeroed on reuse: every consumer fully
-// overwrites its buffer before reading it.
-var scratchPool = sync.Pool{New: func() any { return &[]float64{} }}
-
-// getScratch borrows an n-sample buffer from the scratch pool.
+// getScratch borrows an n-sample plane from the scratch pool.
 //
 //declint:owns
-func getScratch(n int) *[]float64 {
-	bp := scratchPool.Get().(*[]float64)
+func getScratch(n int) *[]float64 { return borrow(&scratchPool, n) }
+
+// putScratch returns a getScratch buffer to the pool.
+//
+//declint:transfers
+func putScratch(bp *[]float64) { scratchPool.Put(bp) }
+
+// getBand borrows an n-sample band buffer from the band pool.
+//
+//declint:owns
+func getBand(n int) *[]float64 { return borrow(&bandPool, n) }
+
+// putBand returns a getBand buffer to the pool.
+//
+//declint:transfers
+func putBand(bp *[]float64) { bandPool.Put(bp) }
+
+// borrow takes a buffer from pool, growing it to n samples if needed.
+//
+//declint:owns
+func borrow(pool *sync.Pool, n int) *[]float64 {
+	bp := pool.Get().(*[]float64)
 	b := *bp
 	if cap(b) < n {
 		b = make([]float64, n)
@@ -303,121 +241,34 @@ func getScratch(n int) *[]float64 {
 	return bp
 }
 
-// putScratch returns a getScratch buffer to the pool.
-//
-//declint:transfers
-func putScratch(bp *[]float64) { scratchPool.Put(bp) }
-
-// minBlurWork is the per-chunk grain (in kernel-weighted samples) below
-// which a blur pass stays on the calling goroutine.
-const minBlurWork = 1 << 14
-
-// blurSeparable convolves a single-channel image with a separable kernel
-// using replicate border handling, returning a fresh slice. It is a thin
-// wrapper over blurInto for callers that want an owned result.
-func blurSeparable(ctx context.Context, src []float64, w, h int, kern []float64, popts ...parallel.Option) ([]float64, error) {
-	dst := make([]float64, len(src))
-	if err := blurInto(ctx, dst, src, w, h, kern, popts...); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // GaussianBlur smooths the single-channel w×h plane src into dst with a
 // separable, normalized Gaussian of the given radius and sigma (the
-// memoized window SSIM uses) under replicate borders. Both passes run in
-// parallel bands and honour ctx; the row-pass buffer comes from the
-// scratch pool. Each output sample sums its taps in ascending order, so
-// the result is bit-identical across worker counts.
+// memoized window SSIM uses) under replicate borders. dst must not overlap
+// src: the streaming kernel reads source rows after it has written earlier
+// output rows, so overlapping planes are rejected. It runs the streaming
+// kernel in parallel bands and honours ctx; each output sample sums its
+// taps in ascending order, so the result is bit-identical across worker
+// counts.
 //
 //declint:nan-ok a pure convolution: NaN/Inf samples propagate to the outputs whose windows cover them
 func GaussianBlur(ctx context.Context, dst, src []float64, w, h, radius int, sigma float64) error {
 	if w <= 0 || h <= 0 || len(src) != w*h || len(dst) != w*h {
 		return fmt.Errorf("metrics: blur planes of %d and %d samples do not match %dx%d", len(src), len(dst), w, h)
 	}
-	if radius < 0 || !(sigma > 0) {
+	if overlaps(dst, src) {
+		return errors.New("metrics: blur destination overlaps its source")
+	}
+	if radius < 0 || !(sigma > 0) || math.IsInf(sigma, 1) {
 		return fmt.Errorf("metrics: invalid Gaussian window radius %d, sigma %v", radius, sigma)
 	}
-	return blurInto(ctx, dst, src, w, h, kernelFor(radius, sigma))
+	return gaussianBlur(ctx, dst, src, w, h, kernelFor(radius, sigma))
 }
 
-// blurInto is blurSeparable writing into a caller-provided destination
-// (len(dst) == len(src) == w*h), drawing its intermediate row-pass buffer
-// from the scratch pool.
-func blurInto(ctx context.Context, dst, src []float64, w, h int, kern []float64, popts ...parallel.Option) error {
-	rowOpts, colOpts := blurOpts(w, h, len(kern), popts)
-	return blurWith(ctx, dst, src, w, h, kern, rowOpts, colOpts)
-}
-
-// blurOpts assembles the per-pass parallel options for a w×h blur with the
-// given kernel length. Hoisted out of blurWith so ssimWith can build them
-// once and share them across its five same-geometry blur passes.
-func blurOpts(w, h, klen int, popts []parallel.Option) (rowOpts, colOpts []parallel.Option) {
-	rowOpts = append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(w*klen, minBlurWork)),
-	}, popts...)
-	colOpts = append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(h*klen, minBlurWork)),
-	}, popts...)
-	return rowOpts, colOpts
-}
-
-// convolveRows writes the horizontal pass for rows [yLo, yHi): tmp row y is
-// src row y convolved with kern under replicate clamping.
-//
-//declint:hot
-func convolveRows(tmp, src []float64, w int, kern []float64, r, yLo, yHi int) {
-	// Interior columns [lo, hi) have the kernel fully inside the row, so
-	// the clamp branches vanish from the inner loop. The per-element tap
-	// order (k ascending) matches the clamped loop exactly, keeping the
-	// result bit-identical.
-	lo := r
-	if lo > w {
-		lo = w
-	}
-	hi := w - r
-	if hi < lo {
-		hi = lo
-	}
-	for y := yLo; y < yHi; y++ {
-		row := src[y*w : (y+1)*w]
-		out := tmp[y*w : (y+1)*w]
-		for x := 0; x < lo; x++ {
-			out[x] = convolveClampedAt(row, w, kern, r, x)
-		}
-		// Four output samples per iteration: each keeps its own
-		// accumulator summing taps in ascending k, so every sample's
-		// addition order — and therefore its bits — match the scalar
-		// loop, while the four independent chains hide the float64 add
-		// latency the scalar loop serializes on.
-		x := lo
-		for ; x+3 < hi; x += 4 {
-			var s0, s1, s2, s3 float64
-			base := x - r
-			for k := range kern {
-				c := kern[k]
-				s0 += c * row[base+k]
-				s1 += c * row[base+k+1]
-				s2 += c * row[base+k+2]
-				s3 += c * row[base+k+3]
-			}
-			out[x] = s0
-			out[x+1] = s1
-			out[x+2] = s2
-			out[x+3] = s3
-		}
-		for ; x < hi; x++ {
-			var s float64
-			base := x - r
-			for k := range kern {
-				s += kern[k] * row[base+k]
-			}
-			out[x] = s
-		}
-		for x := hi; x < w; x++ {
-			out[x] = convolveClampedAt(row, w, kern, r, x)
-		}
-	}
+// gaussianBlur is GaussianBlur with an explicit kernel and parallel
+// options.
+func gaussianBlur(ctx context.Context, dst, src []float64, w, h int, kern []float64, popts ...parallel.Option) error {
+	p := fusedPass{kind: fusedBlur, w: w, h: h, kern: kern, src: src, srcC: 1, dst: dst}
+	return p.run(ctx, popts)
 }
 
 // convolveClampedAt computes one output sample with replicate clamping,
@@ -436,107 +287,4 @@ func convolveClampedAt(row []float64, w int, kern []float64, r, x int) float64 {
 		s += kern[k+r] * row[xx]
 	}
 	return s
-}
-
-// convolveCols writes the vertical pass for columns [xLo, xHi): dst column
-// x is tmp column x convolved with kern under replicate clamping.
-//
-//declint:hot
-func convolveCols(dst, tmp []float64, w, h int, kern []float64, r, xLo, xHi int) {
-	// Interior rows [lo, hi) need no clamping; iterating y outermost and
-	// x innermost turns the column walk into contiguous row reads. The
-	// per-element tap order (k ascending) is unchanged either way, so the
-	// sums are bit-identical to the clamped loop.
-	lo := r
-	if lo > h {
-		lo = h
-	}
-	hi := h - r
-	if hi < lo {
-		hi = lo
-	}
-	for y := 0; y < lo; y++ {
-		convolveColsClampedRow(dst, tmp, w, h, kern, r, xLo, xHi, y)
-	}
-	for y := lo; y < hi; y++ {
-		base := (y - r) * w
-		out := dst[y*w : (y+1)*w]
-		// Same four-accumulator shape as convolveRows: per-sample tap
-		// order stays k ascending (bit-identical to the scalar loop),
-		// and the four independent sums break the serial float64 add
-		// chain that otherwise bounds the column pass.
-		x := xLo
-		for ; x+3 < xHi; x += 4 {
-			var s0, s1, s2, s3 float64
-			idx := base + x
-			for k := range kern {
-				c := kern[k]
-				s0 += c * tmp[idx]
-				s1 += c * tmp[idx+1]
-				s2 += c * tmp[idx+2]
-				s3 += c * tmp[idx+3]
-				idx += w
-			}
-			out[x] = s0
-			out[x+1] = s1
-			out[x+2] = s2
-			out[x+3] = s3
-		}
-		for ; x < xHi; x++ {
-			var s float64
-			idx := base + x
-			for k := range kern {
-				s += kern[k] * tmp[idx]
-				idx += w
-			}
-			out[x] = s
-		}
-	}
-	for y := hi; y < h; y++ {
-		convolveColsClampedRow(dst, tmp, w, h, kern, r, xLo, xHi, y)
-	}
-}
-
-// convolveColsClampedRow computes output row y of the vertical pass with
-// replicate clamping, taps in ascending k order.
-//
-//declint:hot
-func convolveColsClampedRow(dst, tmp []float64, w, h int, kern []float64, r, xLo, xHi, y int) {
-	out := dst[y*w : (y+1)*w]
-	for x := xLo; x < xHi; x++ {
-		var s float64
-		for k := -r; k <= r; k++ {
-			yy := y + k
-			if yy < 0 {
-				yy = 0
-			} else if yy >= h {
-				yy = h - 1
-			}
-			s += kern[k+r] * tmp[yy*w+x]
-		}
-		out[x] = s
-	}
-}
-
-// blurWith runs the separable convolution with caller-assembled options.
-// Each pass runs in parallel bands over disjoint output rows/columns;
-// cancellation between passes propagates as an error.
-func blurWith(ctx context.Context, dst, src []float64, w, h int, kern []float64, rowOpts, colOpts []parallel.Option) error {
-	r := (len(kern) - 1) / 2
-	tmpP := getScratch(len(src))
-	defer putScratch(tmpP)
-	tmp := *tmpP
-	// Horizontal: chunks own disjoint row bands of tmp.
-	err := parallel.For(ctx, h, func(yLo, yHi int) error {
-		convolveRows(tmp, src, w, kern, r, yLo, yHi)
-		return nil
-	}, rowOpts...)
-	if err != nil {
-		return err
-	}
-	// Vertical: chunks own disjoint column bands of dst, reading all of tmp.
-	return parallel.For(ctx, w, func(xLo, xHi int) error {
-		convolveCols(dst, tmp, w, h, kern, r, xLo, xHi)
-		return nil
-	}, colOpts...)
 }

@@ -188,6 +188,16 @@ func TestSSIMWithBadOptions(t *testing.T) {
 		{WindowRadius: 0, Sigma: 1.5, L: 255},
 		{WindowRadius: 3, Sigma: 0, L: 255},
 		{WindowRadius: 3, Sigma: 1.5, L: 0},
+		{WindowRadius: 3, Sigma: math.NaN(), K1: 0.01, K2: 0.03, L: 255},
+		{WindowRadius: 3, Sigma: math.Inf(1), K1: 0.01, K2: 0.03, L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: 0.01, K2: 0.03, L: math.NaN()},
+		{WindowRadius: 3, Sigma: 1.5, K1: 0.01, K2: 0.03, L: math.Inf(1)},
+		{WindowRadius: 3, Sigma: 1.5, K1: math.NaN(), K2: 0.03, L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: math.Inf(1), K2: 0.03, L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: -0.01, K2: 0.03, L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: 0.01, K2: math.NaN(), L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: 0.01, K2: math.Inf(1), L: 255},
+		{WindowRadius: 3, Sigma: 1.5, K1: 0.01, K2: -0.03, L: 255},
 	}
 	for i, o := range cases {
 		if _, err := SSIMWith(a, a, o); err == nil {

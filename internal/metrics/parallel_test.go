@@ -25,9 +25,9 @@ func noisePair(t testing.TB, rng *rand.Rand, w, h, c int) (*imgcore.Image, *imgc
 }
 
 // TestSSIMSerialParallelEquivalence: the SSIM score — a single float64
-// distilled from five parallel Gaussian sweeps — must be bit-identical
-// (==, not approximately) across worker counts, over odd/even/prime
-// geometries and both channel counts.
+// distilled from the streaming kernel's parallel bands — must be
+// bit-identical (==, not approximately) across worker counts, over
+// odd/even/prime geometries and both channel counts.
 func TestSSIMSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	sizes := [][2]int{{12, 12}, {17, 13}, {31, 37}, {64, 24}, {101, 7}}
@@ -52,8 +52,9 @@ func TestSSIMSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlurSeparableSerialParallelEquivalence pins the underlying Gaussian
-// sweep itself: every smoothed sample bit-identical across worker counts.
+// TestBlurSeparableSerialParallelEquivalence pins the underlying streaming
+// Gaussian itself: every smoothed sample bit-identical across worker
+// counts.
 func TestBlurSeparableSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kern := gaussianKernel(5, 1.5)

@@ -14,15 +14,16 @@ import (
 // computation. The detection pipeline builds one SSIMRef per input image
 // and scores every method's reconstruction against it.
 //
-// Scores are bit-identical to SSIMWith(a, b, opts): the reference-side
-// buffers hold exactly the values ssimWith would compute (the per-element
-// products and Gaussian sweeps do not depend on the comparand), and
-// ScoreCtx runs the identical comparand-side passes and the identical
-// serial reduction.
+// Both sides run the streaming fused kernel (fused.go): the reference
+// carries μa and E[a²] into whole planes once, and each score streams μb,
+// E[b²] and E[ab] a row at a time, folding them with the reference rows
+// into per-pixel terms. Every moment sample sees the products and taps of
+// a whole-plane separable blur in the same order, so scores are
+// bit-identical to the five-blur formulation.
 //
-// A reference is safe for concurrent ScoreCtx calls (they only read the
-// shared buffers). Release returns the buffers to the scratch pool; the
-// reference must not be used afterwards.
+// A reference is safe for concurrent ScoreCtx calls: they only read the
+// shared planes, and each borrows its own term plane. Release returns the
+// buffers to the scratch pool; the reference must not be used afterwards.
 type SSIMRef struct {
 	opts SSIMOptions
 	w, h int
@@ -46,51 +47,19 @@ func NewSSIMRef(ctx context.Context, a *imgcore.Image, opts SSIMOptions, popts .
 	w, h := a.W, a.H
 	n := w * h
 	r := &SSIMRef{opts: opts, w: w, h: h, kern: kernelFor(opts.WindowRadius, opts.Sigma)}
-	release := func() {
-		for _, p := range r.pins {
-			putScratch(p)
-		}
+	// Own a copy of the luminance plane: the reference must stay valid if
+	// the caller mutates or recycles a.
+	gap, muAp, sAAp := getScratch(n), getScratch(n), getScratch(n)
+	r.pins = append(r.pins, gap, muAp, sAAp)
+	r.ga, r.muA, r.sAA = *gap, *muAp, *sAAp
+	if a.C == 1 {
+		copy(r.ga, a.Pix)
+	} else {
+		grayLine(r.ga, a.Pix)
 	}
-	// Own a copy of the luminance plane: grayPix may return a view of a.Pix,
-	// and the reference must stay valid if the caller mutates or recycles a.
-	gaPix, gaP := grayPix(a)
-	gap := getScratch(n)
-	copy(*gap, gaPix)
-	if gaP != nil {
-		putScratch(gaP)
-	}
-	r.pins = append(r.pins, gap)
-	r.ga = *gap
-
-	rowOpts, colOpts := blurOpts(w, h, len(r.kern), popts)
-	muAp := getScratch(n)
-	r.pins = append(r.pins, muAp)
-	r.muA = *muAp
-	if err := blurWith(ctx, r.muA, r.ga, w, h, r.kern, rowOpts, colOpts); err != nil {
-		release()
-		return nil, err
-	}
-	aap := getScratch(n)
-	aa := *aap
-	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minBlurWork)}, popts...)
-	if err := parallel.For(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			aa[i] = ga[i] * ga[i]
-		}
-		return nil
-	}, prodOpts...); err != nil {
-		putScratch(aap)
-		release()
-		return nil, err
-	}
-	sAAp := getScratch(n)
-	r.pins = append(r.pins, sAAp)
-	r.sAA = *sAAp
-	err := blurWith(ctx, r.sAA, aa, w, h, r.kern, rowOpts, colOpts)
-	putScratch(aap)
-	if err != nil {
-		release()
+	p := fusedPass{kind: fusedRef, w: w, h: h, kern: r.kern, src: r.ga, srcC: 1, muA: r.muA, sAA: r.sAA}
+	if err := p.run(ctx, popts); err != nil {
+		r.Release()
 		return nil, err
 	}
 	return r, nil
@@ -112,6 +81,10 @@ func (r *SSIMRef) Score(b *imgcore.Image) (float64, error) {
 // a reference built from a single-channel image can score multi-channel
 // comparands of the same geometry (the pipeline scores RGB round-trips
 // against the shared grayscale plane this way).
+//
+// The per-pixel terms land in one pooled plane that is summed serially in
+// ascending order after the bands finish, so the score is the same for
+// every worker count.
 func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...parallel.Option) (float64, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
@@ -119,58 +92,23 @@ func (r *SSIMRef) ScoreCtx(ctx context.Context, b *imgcore.Image, popts ...paral
 	if b.W != r.w || b.H != r.h {
 		return 0, fmt.Errorf("%w: ref %dx%d vs %v", ErrShapeMismatch, r.w, r.h, b)
 	}
-	w, h, n := r.w, r.h, r.w*r.h
-	gbPix, gbP := grayPix(b)
-	if gbP != nil {
-		defer putScratch(gbP)
+	termP := getScratch(r.w * r.h)
+	defer putScratch(termP)
+	term := *termP
+	p := fusedPass{
+		kind: fusedScore, w: r.w, h: r.h, kern: r.kern,
+		src: b.Pix, srcC: b.C, ga: r.ga, muA: r.muA, sAA: r.sAA, term: term,
+		c1: (r.opts.K1 * r.opts.L) * (r.opts.K1 * r.opts.L),
+		c2: (r.opts.K2 * r.opts.L) * (r.opts.K2 * r.opts.L),
 	}
-	rowOpts, colOpts := blurOpts(w, h, len(r.kern), popts)
-	muBp := getScratch(n)
-	defer putScratch(muBp)
-	muB := *muBp
-	if err := blurWith(ctx, muB, gbPix, w, h, r.kern, rowOpts, colOpts); err != nil {
+	if err := p.run(ctx, popts); err != nil {
 		return 0, err
 	}
-	bbp, abp := getScratch(n), getScratch(n)
-	defer putScratch(bbp)
-	defer putScratch(abp)
-	bb, ab := *bbp, *abp
-	ga := r.ga
-	prodOpts := append([]parallel.Option{parallel.Grain(minBlurWork)}, popts...)
-	if err := parallel.For(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			bb[i] = gbPix[i] * gbPix[i]
-			ab[i] = ga[i] * gbPix[i]
-		}
-		return nil
-	}, prodOpts...); err != nil {
-		return 0, err
-	}
-	sBBp, sABp := getScratch(n), getScratch(n)
-	defer putScratch(sBBp)
-	defer putScratch(sABp)
-	sBB, sAB := *sBBp, *sABp
-	if err := blurWith(ctx, sBB, bb, w, h, r.kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-	if err := blurWith(ctx, sAB, ab, w, h, r.kern, rowOpts, colOpts); err != nil {
-		return 0, err
-	}
-
-	c1 := (r.opts.K1 * r.opts.L) * (r.opts.K1 * r.opts.L)
-	c2 := (r.opts.K2 * r.opts.L) * (r.opts.K2 * r.opts.L)
-	muA, sAA := r.muA, r.sAA
 	var sum float64
-	for i := 0; i < n; i++ {
-		ma, mb := muA[i], muB[i]
-		varA := sAA[i] - ma*ma
-		varB := sBB[i] - mb*mb
-		cov := sAB[i] - ma*mb
-		num := (2*ma*mb + c1) * (2*cov + c2)
-		den := (ma*ma + mb*mb + c1) * (varA + varB + c2)
-		sum += num / den
+	for _, t := range term {
+		sum += t
 	}
-	return sum / float64(n), nil
+	return sum / float64(len(term)), nil
 }
 
 // Release returns the reference's pooled buffers to the scratch pool. The

@@ -184,3 +184,81 @@ func BenchmarkAnalyzeSpectrum1024x768(b *testing.B) {
 		}
 	}
 }
+
+// TestCountSpectrumMatchesAnalyze: the pooled count-only tail returns
+// AnalyzeSpectrum's Count for benign and attack spectra under default,
+// unsmoothed and custom options, across geometries that grow and shrink
+// the pooled buffers between calls.
+func TestCountSpectrumMatchesAnalyze(t *testing.T) {
+	optsList := []Options{DefaultOptions(), {SmoothSigma: -1}, {MinArea: 4}, {BinarizeThreshold: 0.5, SmoothSigma: 2}}
+	for _, g := range []struct{ w, h, dw, dh int }{{128, 128, 32, 32}, {96, 64, 24, 16}, {160, 120, 40, 30}, {128, 128, 32, 32}} {
+		src, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: g.w, H: g.h, C: 1, Seed: 46})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: g.dw, H: g.dh, C: 1, Seed: 47})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaler, err := scaling.NewScaler(g.w, g.h, g.dw, g.dh, scaling.Options{Algorithm: scaling.Bilinear})
+		if err != nil {
+			t.Fatal(err)
+		}
+		benign := src.Image(0)
+		res, err := attack.Craft(benign, tgt.Image(0), attack.Config{Scaler: scaler, Eps: 2, MaxSweeps: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, img := range map[string]*imgcore.Image{"benign": benign, "attack": res.Attack} {
+			spec, err := fourier.CenteredSpectrum(img.Pix, img.W, img.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := append([]float64(nil), spec...)
+			for _, opts := range optsList {
+				want, err := AnalyzeSpectrum(spec, img.W, img.H, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CountSpectrum(spec, img.W, img.H, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want.Count {
+					t.Errorf("%dx%d %s %+v: CountSpectrum %d, AnalyzeSpectrum %d", g.w, g.h, name, opts, got, want.Count)
+				}
+			}
+			if i := testutil.FirstDiff(spec, orig); i >= 0 {
+				t.Fatalf("%dx%d %s: spectrum modified at %d", g.w, g.h, name, i)
+			}
+		}
+	}
+	if _, err := CountSpectrum(make([]float64, 10), 4, 3, DefaultOptions()); err == nil {
+		t.Error("mismatched spectrum length accepted")
+	}
+	if _, err := CountSpectrum(make([]float64, 12), 4, 3, Options{BinarizeThreshold: 1.5}); err == nil {
+		t.Error("threshold outside (0,1) accepted")
+	}
+}
+
+// BenchmarkCountSpectrum1024x768 times the pooled count-only tail the
+// detection pipeline runs, on the same spectrum as
+// BenchmarkAnalyzeSpectrum1024x768.
+func BenchmarkCountSpectrum1024x768(b *testing.B) {
+	g, err := dataset.NewGenerator(dataset.Config{Corpus: dataset.CaltechLike, W: 1024, H: 768, C: 1, Seed: 45})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := g.Image(0)
+	spec, err := fourier.CenteredSpectrum(img.Pix, img.W, img.H)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CountSpectrum(spec, img.W, img.H, DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -123,10 +123,10 @@ func Analyze(img *imgcore.Image, opts Options) (*Analysis, error) {
 
 // AnalyzeSpectrum runs the steganalysis tail — smoothing, binarization and
 // component counting — on an already-computed centered log-magnitude
-// spectrum (fourier.CenteredSpectrum output, normalized to [0,1]). The
-// detection pipeline uses this to share one spectrum between scorers. spec
-// is treated as read-only; when smoothing is disabled the returned
-// Analysis.Spectrum aliases it.
+// spectrum (fourier.CenteredSpectrum output, normalized to [0,1]), so one
+// spectrum can be shared between scorers; CountSpectrum is the same tail
+// when only the count is needed. spec is treated as read-only; when
+// smoothing is disabled the returned Analysis.Spectrum aliases it.
 func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) {
 	if w <= 0 || h <= 0 || len(spec) != w*h {
 		return nil, fmt.Errorf("steg: spectrum length %d does not match %dx%d", len(spec), w, h)
@@ -135,18 +135,14 @@ func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.SmoothSigma > 0 {
-		blurred := make([]float64, len(spec))
-		r := int(opts.SmoothSigma*3) + 1
-		if err := metrics.GaussianBlur(context.Background(), blurred, spec, w, h, r, opts.SmoothSigma); err != nil {
-			return nil, fmt.Errorf("steg: smoothing: %w", err)
-		}
-		spec = blurred
-		renormalize(spec)
-	}
 	mask := make([]bool, len(spec))
-	for i, v := range spec {
-		mask[i] = v >= opts.BinarizeThreshold
+	var smooth []float64
+	if opts.SmoothSigma > 0 {
+		smooth = make([]float64, len(spec))
+	}
+	spec, err := binarize(context.Background(), mask, smooth, spec, w, h, opts)
+	if err != nil {
+		return nil, err
 	}
 	sc := labelPool.Get().(*labelScratch)
 	defer labelPool.Put(sc)
@@ -194,6 +190,55 @@ func AnalyzeSpectrum(spec []float64, w, h int, opts Options) (*Analysis, error) 
 		a.Centroids[i] = k.centroid
 	}
 	return a, nil
+}
+
+// CountSpectrum returns the CSP count AnalyzeSpectrum reports for the same
+// arguments, without keeping its artifacts: the smoothed spectrum, the mask
+// and the labels are working buffers drawn from labelPool, so a stream of
+// same-geometry spectra counts without allocating them. The detection
+// pipeline scores Method 3 this way. spec is treated as read-only.
+func CountSpectrum(spec []float64, w, h int, opts Options) (int, error) {
+	if w <= 0 || h <= 0 || len(spec) != w*h {
+		return 0, fmt.Errorf("steg: spectrum length %d does not match %dx%d", len(spec), w, h)
+	}
+	opts = opts.withDefaults(w, h)
+	if err := opts.validate(); err != nil {
+		return 0, err
+	}
+	sc := labelPool.Get().(*labelScratch)
+	defer labelPool.Put(sc)
+	mask, smooth := sc.binaryPlanes(len(spec), opts.SmoothSigma > 0)
+	if _, err := binarize(context.Background(), mask, smooth, spec, w, h, opts); err != nil {
+		return 0, err
+	}
+	_, areas := sc.label(mask, w)
+	count := 0
+	for _, a := range areas {
+		if a >= opts.MinArea {
+			count++
+		}
+	}
+	return count, nil
+}
+
+// binarize runs the smoothing and binarization steps of the steganalysis
+// tail and returns the spectrum it binarized. With smoothing on, spec is
+// blurred into smooth (len(spec) samples) and renormalized there; with it
+// off, smooth is unused and spec itself is binarized. mask receives the
+// foreground samples.
+func binarize(ctx context.Context, mask []bool, smooth, spec []float64, w, h int, opts Options) ([]float64, error) {
+	if opts.SmoothSigma > 0 {
+		r := int(opts.SmoothSigma*3) + 1
+		if err := metrics.GaussianBlur(ctx, smooth, spec, w, h, r, opts.SmoothSigma); err != nil {
+			return nil, fmt.Errorf("steg: smoothing: %w", err)
+		}
+		spec = smooth
+		renormalize(spec)
+	}
+	for i, v := range spec {
+		mask[i] = v >= opts.BinarizeThreshold
+	}
+	return spec, nil
 }
 
 // EstimateTargetSize infers the geometry of the attacker's embedded target
@@ -387,14 +432,33 @@ func LabelComponents(mask []bool, w, h int) (labels []int32, areas []int) {
 }
 
 // labelScratch holds the working buffers of one labelling: the label plane
-// and the flood-fill stack. AnalyzeSpectrum draws them from labelPool, so a
-// stream of same-geometry spectra labels without allocating either.
+// and the flood-fill stack, plus the mask and smoothed spectrum
+// CountSpectrum binarizes into. AnalyzeSpectrum and CountSpectrum draw
+// them from labelPool, so a stream of same-geometry spectra labels without
+// allocating them.
 type labelScratch struct {
 	labels []int32
 	stack  []int
+	mask   []bool
+	smooth []float64
 }
 
 var labelPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// binaryPlanes returns n-sample mask and, if smoothing, smoothed-spectrum
+// buffers, grown as needed. Neither is cleared: binarize overwrites both.
+func (sc *labelScratch) binaryPlanes(n int, smoothing bool) (mask []bool, smooth []float64) {
+	if cap(sc.mask) < n {
+		sc.mask = make([]bool, n)
+	}
+	if !smoothing {
+		return sc.mask[:n], nil
+	}
+	if cap(sc.smooth) < n {
+		sc.smooth = make([]float64, n)
+	}
+	return sc.mask[:n], sc.smooth[:n]
+}
 
 // label fills sc.labels for a row-major mask of width w (len(mask) a
 // positive multiple of w) and returns it with the component areas.
