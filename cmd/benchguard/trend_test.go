@@ -35,7 +35,7 @@ func TestTrendHealthyTrajectory(t *testing.T) {
 	writeTrendSnapshot(t, dir, benchfmt.Document{Date: "2026-08-09", Benchmarks: []benchfmt.Result{
 		result("BenchmarkFFT2D256-8", 1_900_000),
 		// A kernel new in the latest snapshot has itself as best: delta 0.
-		result("BenchmarkResizeFixed256-8", 400_000),
+		result("BenchmarkSSIM1024x768-8", 400_000),
 	}})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-trend", dir}, &stdout, &stderr)
@@ -177,10 +177,12 @@ func TestTrendWriteMarkdown(t *testing.T) {
 	env := &benchfmt.Environment{GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 1, CPU: "Reference", GoVersion: "go1.24.0"}
 	writeTrendSnapshot(t, dir, benchfmt.Document{Date: "2026-08-05", Benchmarks: []benchfmt.Result{
 		result("BenchmarkResize256Serial-8", 600_000),
+		result("BenchmarkMinFilterFloat256-8", 600_000),
 	}})
 	writeTrendSnapshot(t, dir, benchfmt.Document{Date: "2026-08-09", Env: env, Benchmarks: []benchfmt.Result{
 		result("BenchmarkResize256Serial-8", 595_000),
-		result("BenchmarkResizeFixed256-8", 387_000),
+		result("BenchmarkMinFilterFloat256-8", 595_000),
+		result("BenchmarkMinFilterU8256-8", 387_000),
 	}})
 	md := filepath.Join(dir, "README.md")
 	const shell = "# Bench\n\nintro\n\n<!-- benchtrend:begin -->\nstale\n<!-- benchtrend:end -->\n\noutro\n"
@@ -199,9 +201,9 @@ func TestTrendWriteMarkdown(t *testing.T) {
 	got := string(buf)
 	for _, want := range []string{
 		"# Bench", "outro", // text outside the markers survives
-		"| ResizeFixed256 |", "| Resize256Serial |",
+		"| MinFilterU8256 |", "| Resize256Serial |",
 		"| 2026-08-05 | 2026-08-09 |",
-		"Q1.15 fixed-point resize | 595.0µs | 387.0µs | 1.54×",
+		"uint8 vHGW min filter | 595.0µs | 387.0µs | 1.54×",
 		"linux/amd64 maxprocs=1", "go1.24.0",
 	} {
 		if !strings.Contains(got, want) {

@@ -1,35 +1,35 @@
-// The stage-DAG pipeline engine. An ensemble pass over one image is a
-// small DAG of typed stages:
+// The stage-DAG pipeline engine: the one scoring implementation of the
+// built-in methods. An ensemble pass over one image is a small DAG of
+// typed stages:
 //
 //	input tensor ──┬─▶ grayscale ──▶ 2-D spectrum ──▶ CSP count
 //	               │       └───────▶ SSIM reference
 //	               ├─▶ downscale ──▶ upscale round trip ──▶ metric score
 //	               └─▶ min-filter ─────────────────────────▶ metric score
 //
-// The legacy per-scorer path re-derives shared substrates per method: an
-// ensemble with several scaling or filtering members recomputes round
-// trips, gray planes and spectra it already has. The pipeline instead
-// gives every image one Intermediates table whose entries are memoized by
+// Every image gets one Intermediates table whose entries are memoized by
 // stage identity (stageKey), so each substrate is computed exactly once
 // per image no matter how many scorers request it, and derived scores
 // (PSNR from a memoized MSE, every SSIM from one prepared reference)
 // reuse the heavy work. Pipeline-level LRU caches share prepared scalers
 // and 2-D FFT plans across all images of a batch, and pooled pixel
 // buffers flow through the request instead of being allocated per stage.
+// A standalone Score or Detector.DetectCtx call runs the same stages
+// through a one-image table on a package-level pipeline (standalone), so
+// calibration, evaluation and the ensemble all score with the same code.
 //
-// Scores are bit-identical to the legacy path (pinned by the differential
+// Scores are bit-identical to the pre-pipeline per-scorer bodies, which
+// live on as the differential oracle in legacy_test.go (pinned by the
 // suite in pipeline_diff_test.go): every stage runs the same kernels in
-// the same order as its legacy counterpart, memoization only removes
-// repeated identical computations, and buffer pooling only changes where
-// results are written, not what is written.
+// the same order, memoization only removes repeated identical
+// computations, and buffer pooling only changes where results are
+// written, not what is written.
 //
 // Inputs whose samples are all 8-bit integers — every decoded PNG and
 // every quantized attack output — additionally get a memoized U8Image
 // view, and the gray and min-filter stages route through uint8 kernels
 // that are provably bit-identical on such inputs (LUT luminance, integer
-// vHGW erosion). The fixed-point downscale, which is tolerance-accurate
-// rather than bit-exact, stays behind the opt-in quantized mode
-// (Ensemble.SetQuantized).
+// vHGW erosion).
 package detect
 
 import (
@@ -51,7 +51,7 @@ import (
 // PipelineScorer is a Scorer that can score through a per-image
 // Intermediates table, sharing memoized substrates with the other members
 // of an ensemble. The built-in scorers implement it; third-party scorers
-// that don't fall back to Score/ScoreCtx on the un-shared input image.
+// that don't fall back to Score on the un-shared input image.
 type PipelineScorer interface {
 	Scorer
 	// ScorePipeline computes the raw metric value for the image behind in,
@@ -114,13 +114,6 @@ type Pipeline struct {
 	plans   *cache.LRU[geomKey, *fourier.Plan2D]
 	memo    *obs.MemoStats
 
-	// quantized routes the round trip's downscale through the Q1.15
-	// fixed-point resize when the input has an 8-bit view. Unlike the
-	// automatic u8 routing (gray LUT, u8 min filter), the fixed-point
-	// resize is tolerance-accurate rather than bit-identical to the
-	// float64 path, so it is opt-in (Ensemble.SetQuantized).
-	quantized atomic.Bool
-
 	grayH, downH, upH, minH, specH, cspH, metricH, u8H *obs.Histogram
 }
 
@@ -170,6 +163,24 @@ func (p *Pipeline) planFor(w, h int) (*fourier.Plan2D, error) {
 	return p.plans.GetOrBuild(geomKey{w, h}, func() (*fourier.Plan2D, error) {
 		return fourier.Plan2DFor(w, h)
 	})
+}
+
+// standalone is the pipeline behind standalone scoring: a built-in
+// scorer's Score and Detector.DetectCtx open their one-image tables on
+// it. Its LRUs are bounded and safe for concurrent use, so every caller
+// shares one set of prepared scalers and FFT plans.
+var standalone = sync.OnceValue(NewPipeline)
+
+// scoreStandalone validates img, as Ensemble.detect does, and scores it
+// through a one-image table on the standalone pipeline, releasing the
+// table's pooled buffers before it returns.
+func scoreStandalone(ctx context.Context, s PipelineScorer, img *imgcore.Image) (float64, error) {
+	if err := img.Validate(); err != nil {
+		return 0, err
+	}
+	in := standalone().intermediates(img)
+	defer in.release()
+	return s.ScorePipeline(ctx, in)
 }
 
 // intermediates opens a fresh per-image memo table over img.
@@ -275,7 +286,7 @@ func pooledImage(w, h, c int) (img *imgcore.Image, put func()) {
 // grayInto writes the BT.601 luminance of a 3-channel pixel plane into
 // dst (len(dst)·3 == len(pix)), with the exact weights and expression of
 // imgcore's Gray so the pipeline's gray plane is bit-identical to the
-// legacy path's.
+// one metrics and steg compute from imgcore.Gray.
 //
 //declint:hot
 func grayInto(dst, pix []float64) {
@@ -378,23 +389,9 @@ func (in *Intermediates) roundTrip(ctx context.Context, key stageKey) (*imgcore.
 		if err != nil {
 			return nil, fmt.Errorf("detect: scaling upscale: %w", err)
 		}
-		// Quantized mode: the downscale (the only pass whose input is
-		// 8-bit) runs through the Q1.15 fixed-point resize. The upscale
-		// input is the float64 intermediate, so it stays on the float
-		// path either way.
-		var u8in *imgcore.U8Image
-		if in.pipe.quantized.Load() {
-			if u8in, err = in.u8View(ctx); err != nil {
-				return nil, err
-			}
-		}
 		_, st := obs.StartStage(ctx, "pipeline.downscale", in.pipe.downH)
 		down, putDown := pooledImage(key.dstW, key.dstH, img.C)
-		if u8in != nil {
-			err = downScaler.ResizeU8Into(ctx, u8in, down)
-		} else {
-			err = downScaler.ResizeInto(ctx, img, down)
-		}
+		err = downScaler.ResizeInto(ctx, img, down)
 		st.End()
 		if err != nil {
 			putDown()

@@ -1,14 +1,17 @@
 package detect
 
-// The differential equivalence suite: the stage-DAG pipeline (Detect)
-// must produce bit-identical scores and verdicts to the legacy
-// per-scorer path (DetectLegacy) — memoization and buffer pooling are
-// allowed to change where bytes are computed, never which bytes.
+// The differential equivalence suite: the stage-DAG pipeline (the
+// ensemble's Detect, and each member's standalone Score and Detect) must
+// produce bit-identical scores and verdicts to the pre-pipeline
+// per-scorer bodies (detectLegacy, legacy_test.go) — memoization and
+// buffer pooling are allowed to change where bytes are computed, never
+// which bytes.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -93,38 +96,150 @@ func requireEqualVerdicts(t *testing.T, pipe, legacy *EnsembleVerdict) {
 }
 
 // TestPipelineMatchesLegacy sweeps odd/even/prime geometries, grayscale
-// and RGB inputs, and every metric, asserting bit-identical verdicts.
+// and RGB inputs, and every metric, asserting bit-identical verdicts from
+// the ensemble and from every member scored on its own (Score and
+// Detector.Detect). Two cases leave the common path: an image whose
+// geometry differs from the scaler's source size (the downscale derives
+// coefficients for the image's own size), and non-integral float samples
+// (no u8 view, so the float64 gray and min-filter stages run).
 func TestPipelineMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		srcW, srcH, dstW, dstH int
+		// imgW/imgH override the image geometry (zero: the scaler's source).
+		imgW, imgH int
+		// frac adds a quarter to every sample, so the image has no u8 view.
+		frac bool
 	}{
-		{16, 16, 4, 4},   // even, power of two
-		{15, 21, 5, 7},   // odd
-		{31, 29, 7, 5},   // prime src
-		{47, 33, 13, 11}, // prime dst, non-square
-		{24, 18, 32, 26}, // degenerate "down"scale that upscales
+		{srcW: 16, srcH: 16, dstW: 4, dstH: 4},                     // even, power of two
+		{srcW: 15, srcH: 21, dstW: 5, dstH: 7},                     // odd
+		{srcW: 31, srcH: 29, dstW: 7, dstH: 5},                     // prime src
+		{srcW: 47, srcH: 33, dstW: 13, dstH: 11},                   // prime dst, non-square
+		{srcW: 24, srcH: 18, dstW: 32, dstH: 26},                   // degenerate "down"scale that upscales
+		{srcW: 16, srcH: 16, dstW: 4, dstH: 4, imgW: 27, imgH: 19}, // image geometry ≠ scaler source
+		{srcW: 24, srcH: 18, dstW: 8, dstH: 6, frac: true},         // non-integral float input
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
 		for _, channels := range []int{1, 3} {
+			imgW, imgH := tc.srcW, tc.srcH
 			name := fmt.Sprintf("%dx%d_to_%dx%d_c%d", tc.srcW, tc.srcH, tc.dstW, tc.dstH, channels)
+			if tc.imgW != 0 {
+				imgW, imgH = tc.imgW, tc.imgH
+				name = fmt.Sprintf("img%dx%d_on_%s", imgW, imgH, name)
+			}
+			if tc.frac {
+				name += "_frac"
+			}
 			t.Run(name, func(t *testing.T) {
 				e := matrixEnsemble(t, tc.srcW, tc.srcH, tc.dstW, tc.dstH)
-				img := corpusImage(t, int64(tc.srcW*tc.srcH), 0, tc.srcW, tc.srcH)
+				img := corpusImage(t, int64(imgW*imgH), 0, imgW, imgH)
 				if channels == 1 {
 					img = img.Gray()
+				}
+				if tc.frac {
+					for i := range img.Pix {
+						img.Pix[i] = math.Min(255, img.Pix[i]+0.25)
+					}
 				}
 				pipe, err := e.Detect(ctx, img)
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy, err := e.DetectLegacy(ctx, img)
+				legacy, err := detectLegacy(ctx, e, img)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireEqualVerdicts(t, pipe, legacy)
+				for i, d := range e.Detectors() {
+					want := legacy.Verdicts[i]
+					score, err := d.scorer.Score(img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !testutil.BitEqual(score, want.Score) {
+						t.Fatalf("%s: standalone Score %v != legacy %v (ULP %d)",
+							d.Name(), score, want.Score, testutil.ULPDiff(score, want.Score))
+					}
+					v, err := d.Detect(img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v.Method != want.Method || v.Attack != want.Attack || !testutil.BitEqual(v.Score, want.Score) {
+						t.Fatalf("%s: standalone Detect %+v != legacy %+v", d.Name(), v, want)
+					}
+				}
 			})
 		}
+	}
+	t.Run("invalid_inputs", func(t *testing.T) {
+		e := matrixEnsemble(t, 16, 16, 4, 4)
+		invalid := []struct {
+			name string
+			img  *imgcore.Image
+			want error
+		}{
+			{"nil", nil, imgcore.ErrEmptyImage},
+			{"0x0", &imgcore.Image{C: 1}, imgcore.ErrEmptyImage},
+			{"pix_length", &imgcore.Image{W: 16, H: 16, C: 1, Pix: make([]float64, 255)}, imgcore.ErrShapeMismatch},
+			{"c2", &imgcore.Image{W: 16, H: 16, C: 2, Pix: make([]float64, 512)}, imgcore.ErrBadChannels},
+		}
+		for _, in := range invalid {
+			for _, d := range e.Detectors() {
+				if _, err := legacyScore(ctx, d.scorer, in.img); !errors.Is(err, in.want) {
+					t.Fatalf("%s %s: oracle err = %v, want %v", in.name, d.Name(), err, in.want)
+				}
+				if _, err := d.scorer.Score(in.img); !errors.Is(err, in.want) {
+					t.Fatalf("%s %s: Score err = %v, want %v", in.name, d.Name(), err, in.want)
+				}
+				if _, err := d.Detect(in.img); !errors.Is(err, in.want) {
+					t.Fatalf("%s %s: Detect err = %v, want %v", in.name, d.Name(), err, in.want)
+				}
+			}
+		}
+	})
+}
+
+// TestStandaloneScoreConcurrent scores several geometries from several
+// goroutines at once through the shared standalone pipeline (its scaler
+// and plan caches, memo counters and buffer pool); every score must equal
+// the same scorer's serial score.
+func TestStandaloneScoreConcurrent(t *testing.T) {
+	e := matrixEnsemble(t, 24, 18, 8, 6)
+	ds := e.Detectors()
+	imgs := []*imgcore.Image{
+		corpusImage(t, 50, 0, 24, 18),
+		corpusImage(t, 51, 0, 31, 17),
+		corpusImage(t, 52, 0, 24, 18).Gray(),
+	}
+	want := make([][]float64, len(imgs))
+	for i, img := range imgs {
+		for _, d := range ds {
+			s, err := d.scorer.Score(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], s)
+		}
+	}
+	var tasks []func() error
+	for rep := 0; rep < 4; rep++ {
+		for i, img := range imgs {
+			tasks = append(tasks, func() error {
+				for j, d := range ds {
+					s, err := d.scorer.Score(img)
+					if err != nil {
+						return err
+					}
+					if !testutil.BitEqual(s, want[i][j]) {
+						return fmt.Errorf("image %d %s: concurrent score %v != serial %v", i, d.Name(), s, want[i][j])
+					}
+				}
+				return nil
+			})
+		}
+	}
+	if err := parallel.Do(context.Background(), tasks, parallel.Workers(6)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -203,7 +318,7 @@ func TestPipelineMemoizesSubstrates(t *testing.T) {
 }
 
 // TestPipelineAdapterWithStubs pins the adapter's fallback: a plain
-// Scorer (no ScoreCtx/ScorePipeline) runs unchanged inside the pipeline
+// Scorer (no ScorePipeline) runs unchanged inside the pipeline
 // ensemble, and mixed stub/real ensembles vote correctly.
 func TestPipelineAdapterWithStubs(t *testing.T) {
 	e, err := NewEnsemble(
@@ -223,7 +338,7 @@ func TestPipelineAdapterWithStubs(t *testing.T) {
 	if v.Attack || v.Votes != 1 {
 		t.Fatalf("stub ensemble verdict = %+v", v)
 	}
-	legacy, err := e.DetectLegacy(context.Background(), img)
+	legacy, err := detectLegacy(context.Background(), e, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzPipelineDetect cross-checks the stage-DAG pipeline against the
-// legacy per-scorer path on adversarial inputs: NaN/Inf pixels, 1×N and
+// pre-pipeline per-scorer oracle (legacy_test.go) on adversarial inputs: NaN/Inf pixels, 1×N and
 // N×1 geometries, and degenerate scale ratios (identity, upscale, down
 // to 1×1). The contract: both paths agree on error presence, and when
 // both succeed every score is bit-identical (NaN pairs included) along
@@ -60,7 +60,7 @@ func FuzzPipelineDetect(f *testing.F) {
 		e := matrixEnsemble(t, srcW, srcH, dstW, dstH)
 		ctx := context.Background()
 		pipe, perr := e.Detect(ctx, img)
-		legacy, lerr := e.DetectLegacy(ctx, img)
+		legacy, lerr := detectLegacy(ctx, e, img)
 		if (perr == nil) != (lerr == nil) {
 			t.Fatalf("error disagreement: pipeline=%v legacy=%v", perr, lerr)
 		}

@@ -13,9 +13,12 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"decamouflage/internal/imgcore"
+	"decamouflage/internal/steg"
+	"decamouflage/internal/testutil"
 )
 
 // rgbImage builds a 3-channel image so the gray stage must borrow a
@@ -106,5 +109,83 @@ func TestPoolTraceMidBatchCancellation(t *testing.T) {
 	}
 	if verr := poolTraceVerify(); verr != nil {
 		t.Fatal(verr)
+	}
+}
+
+// countdownCtx reports cancellation from its (n+1)-th Err call on, where
+// n is the initial value of left, so a test can land a cancellation at
+// every point where a scoring pass checks its context.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPoolTraceStandaloneBalances: a built-in scorer's standalone Score
+// and Detector.Detect run through a one-image pipeline table, and must
+// release every pooled borrow exactly once — on success, on a context
+// cancelled before the pass, and on a cancellation landing at each
+// context check inside it.
+func TestPoolTraceStandaloneBalances(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ss, err := NewScalingScorer(mustScaler(t, 24, 18, 8, 6), SSIM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFilteringScorer(2, SSIM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := rgbImage(24, 18, 3)
+	for _, sc := range []Scorer{ss, fs, NewStegScorer(steg.Options{})} {
+		d, err := NewDetector(sc, Threshold{Value: 1, Direction: Above})
+		if err != nil {
+			t.Fatal(err)
+		}
+		poolTraceReset()
+		if _, err := sc.Score(img); err != nil {
+			t.Fatalf("%s: Score: %v", sc.Name(), err)
+		}
+		if _, err := d.Detect(img); err != nil {
+			t.Fatalf("%s: Detect: %v", sc.Name(), err)
+		}
+		if err := poolTraceVerify(); err != nil {
+			t.Fatalf("%s: %v", sc.Name(), err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := d.DetectCtx(ctx, img); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled DetectCtx err = %v, want context.Canceled", sc.Name(), err)
+		}
+		if err := poolTraceVerify(); err != nil {
+			t.Fatalf("%s: pre-cancelled: %v", sc.Name(), err)
+		}
+
+		for n := int64(1); ; n++ {
+			if n > 10000 {
+				t.Fatalf("%s: pass never completed under the countdown context", sc.Name())
+			}
+			poolTraceReset()
+			cctx := &countdownCtx{Context: context.Background()}
+			cctx.left.Store(n)
+			_, err := d.DetectCtx(cctx, img)
+			if verr := poolTraceVerify(); verr != nil {
+				t.Fatalf("%s: cancelled after %d checks: %v", sc.Name(), n, verr)
+			}
+			if err == nil {
+				t.Logf("%s: pass completes after %d context checks", sc.Name(), n)
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled after %d checks: err = %v, want context.Canceled", sc.Name(), n, err)
+			}
+		}
 	}
 }

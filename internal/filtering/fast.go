@@ -1,7 +1,6 @@
-// Fast sliding-window kernels. The naive per-pixel reductions in
-// filtering.go remain as the bit-exactness reference (and as the generic
-// Rank implementation); the public Minimum/Maximum/Median/Box entry points
-// route through the implementations in this file:
+// Fast sliding-window kernels behind the public Minimum/Maximum/Median
+// entry points. The naive per-pixel window scan they are pinned against
+// bit-for-bit lives in oracle_test.go.
 //
 //   - min/max: the van Herk–Gil–Werman two-pass monotone-wedge algorithm,
 //     run separably (rows then columns) — O(1) comparisons per sample
@@ -12,11 +11,8 @@
 //     instead of re-collecting and sorting size² samples per pixel. The
 //     maintained multiset equals the naive window multiset, so the median
 //     is bit-identical for finite inputs.
-//   - box: separable running row/column sums — O(1) additions per sample.
-//     Summation order differs from the naive window scan, so box output is
-//     equal only to tolerance (see the ULP property tests).
 //
-// All three preserve the naive path's replicate-clamp border semantics and
+// Both preserve the naive scan's replicate-clamp border semantics and
 // OpenCV anchoring exactly: even sizes anchor top-left (offsets [0, size)),
 // odd sizes center (offsets [-size/2, size/2]). Scratch buffers are
 // allocated once per parallel band and reused across that band's rows or
@@ -294,8 +290,8 @@ func (s *sortedWindow) replace(old, new float64) {
 	}
 }
 
-// median returns the window median under the same rule as pickMedian:
-// middle element for odd counts, mean of the two middles for even.
+// median returns the window median: the middle element for odd counts,
+// the mean of the two middles for even.
 //
 //declint:hot
 func (s *sortedWindow) median() float64 {
@@ -377,84 +373,6 @@ func medianFilter(ctx context.Context, img *imgcore.Image, size int, popts ...pa
 		}
 		return nil
 	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// slidingSum writes out[i] = sum(padded[i : i+w]) as a running sum: one
-// add and one subtract per step.
-//
-//declint:hot
-func slidingSum(out, padded []float64, w int) {
-	var s float64
-	for t := 0; t < w; t++ {
-		s += padded[t]
-	}
-	out[0] = s
-	for i := 1; i < len(out); i++ {
-		s += padded[i+w-1] - padded[i-1]
-		out[i] = s
-	}
-}
-
-// boxFilter is the fast Box implementation: separable running sums (rows
-// then columns), dividing once by size² at the end. The summation order
-// differs from the naive per-window scan, so outputs agree with the naive
-// reference to tolerance, not bit-exactly.
-func boxFilter(ctx context.Context, img *imgcore.Image, size int, popts ...parallel.Option) (*imgcore.Image, error) {
-	if err := img.Validate(); err != nil {
-		return nil, err
-	}
-	if size < 2 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadWindow, size)
-	}
-	lo, _ := windowOffsets(size)
-	tmp := img.Clone()
-	out := img.Clone()
-	inv := 1 / float64(size*size)
-
-	rowCost := img.W * img.C
-	hOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(rowCost, minFilterWork)),
-	}, popts...)
-	err := parallel.For(ctx, img.H, func(yLo, yHi int) error {
-		padded := make([]float64, img.W+size-1)
-		line := make([]float64, img.W)
-		for y := yLo; y < yHi; y++ {
-			for c := 0; c < img.C; c++ {
-				padClamped(padded, img.Pix[(y*img.W)*img.C+c:], img.W, img.C, lo)
-				slidingSum(line, padded, size)
-				for x := 0; x < img.W; x++ {
-					tmp.Pix[(y*img.W+x)*img.C+c] = line[x]
-				}
-			}
-		}
-		return nil
-	}, hOpts...)
-	if err != nil {
-		return nil, err
-	}
-
-	colCost := img.H * img.C
-	vOpts := append([]parallel.Option{
-		parallel.Grain(parallel.GrainForWidth(colCost, minFilterWork)),
-	}, popts...)
-	err = parallel.For(ctx, img.W, func(xLo, xHi int) error {
-		padded := make([]float64, img.H+size-1)
-		line := make([]float64, img.H)
-		for x := xLo; x < xHi; x++ {
-			for c := 0; c < img.C; c++ {
-				padClamped(padded, tmp.Pix[x*img.C+c:], img.H, img.W*img.C, lo)
-				slidingSum(line, padded, size)
-				for y := 0; y < img.H; y++ {
-					out.Pix[(y*img.W+x)*img.C+c] = line[y] * inv
-				}
-			}
-		}
-		return nil
-	}, vOpts...)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // fastNaivePairs returns the three rank filters in both implementations:
-// the fast path under test and the naive reference it must match bit-forbit.
+// the fast path under test and the naive reference (oracle_test.go) it
+// must match bit-for-bit.
 type filterPair struct {
 	name  string
 	fast  func(*imgcore.Image, int) (*imgcore.Image, error)
@@ -112,51 +113,6 @@ func TestFastFiltersDegenerateGeometry(t *testing.T) {
 					p.name, tc.w, tc.h, tc.c, tc.window, i, got.Pix[i], want.Pix[i])
 			}
 		}
-		// Box is tolerance-tested over the same degenerate corpus.
-		want, err := boxNaive(context.Background(), img, tc.window)
-		if err != nil {
-			t.Fatalf("box naive %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
-		}
-		got, err := boxFilter(context.Background(), img, tc.window)
-		if err != nil {
-			t.Fatalf("box fast %dx%dx%d w=%d: %v", tc.w, tc.h, tc.c, tc.window, err)
-		}
-		for i := range want.Pix {
-			if !testutil.ApproxEqual(got.Pix[i], want.Pix[i], 1e-12, 1e-9) {
-				t.Fatalf("box %dx%dx%d w=%d: sample %d: fast %v vs naive %v",
-					tc.w, tc.h, tc.c, tc.window, i, got.Pix[i], want.Pix[i])
-			}
-		}
-	}
-}
-
-// TestBoxFastWithinToleranceOfNaive bounds the running-sum reordering error
-// against the per-window reference on regular geometries. The documented
-// contract is agreement within 1e-12 relative / 1e-9 absolute for pixel
-// data in [0, 255].
-func TestBoxFastWithinToleranceOfNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	for _, wh := range [][2]int{{5, 3}, {17, 23}, {32, 32}, {41, 19}, {128, 64}} {
-		for _, c := range []int{1, 3} {
-			img := noiseImage(rng, wh[0], wh[1], c)
-			for _, window := range []int{2, 3, 5, 8} {
-				want, err := boxNaive(context.Background(), img, window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := boxFilter(context.Background(), img, window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want.Pix {
-					if !testutil.ApproxEqual(got.Pix[i], want.Pix[i], 1e-12, 1e-9) {
-						t.Fatalf("box %dx%dx%d w=%d sample %d: fast %v vs naive %v (Δ=%v)",
-							wh[0], wh[1], c, window, i, got.Pix[i], want.Pix[i],
-							got.Pix[i]-want.Pix[i])
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -182,9 +138,6 @@ func TestFastFiltersSerialParallelEquivalence(t *testing.T) {
 					}},
 					{"median", func(po ...parallel.Option) (*imgcore.Image, error) {
 						return medianFilter(context.Background(), img, window, po...)
-					}},
-					{"box", func(po ...parallel.Option) (*imgcore.Image, error) {
-						return boxFilter(context.Background(), img, window, po...)
 					}},
 				}
 				for _, r := range runs {
@@ -221,12 +174,9 @@ func TestFastFiltersValidation(t *testing.T) {
 		if _, err := Median(img, size); err == nil {
 			t.Errorf("Median(size=%d) = nil error", size)
 		}
-		if _, err := Box(img, size); err == nil {
-			t.Errorf("Box(size=%d) = nil error", size)
-		}
 	}
 	for name, fn := range map[string]func(*imgcore.Image, int) (*imgcore.Image, error){
-		"Minimum": Minimum, "Maximum": Maximum, "Median": Median, "Box": Box,
+		"Minimum": Minimum, "Maximum": Maximum, "Median": Median,
 	} {
 		if _, err := fn(&imgcore.Image{}, 2); err == nil {
 			t.Errorf("%s(empty) = nil error", name)
@@ -239,7 +189,7 @@ func TestFastFiltersDoNotMutateInput(t *testing.T) {
 	img := noiseImage(rand.New(rand.NewSource(66)), 9, 7, 3)
 	snapshot := append([]float64(nil), img.Pix...)
 	for name, fn := range map[string]func(*imgcore.Image, int) (*imgcore.Image, error){
-		"Minimum": Minimum, "Maximum": Maximum, "Median": Median, "Box": Box,
+		"Minimum": Minimum, "Maximum": Maximum, "Median": Median,
 	} {
 		if _, err := fn(img, 3); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -286,20 +236,5 @@ func BenchmarkMedianFilter256Naive(b *testing.B) {
 func BenchmarkMedianFilter256Serial(b *testing.B) {
 	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
 		return medianFilter(context.Background(), img, size, parallel.Workers(1))
-	}, 5)
-}
-
-// BenchmarkBoxFilter256Naive is the per-window mean reference at window 5.
-func BenchmarkBoxFilter256Naive(b *testing.B) {
-	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
-		return boxNaive(context.Background(), img, size, parallel.Workers(1))
-	}, 5)
-}
-
-// BenchmarkBoxFilter256Serial is the separable running-sum box at window 5,
-// single worker.
-func BenchmarkBoxFilter256Serial(b *testing.B) {
-	benchmarkFilter256(b, func(img *imgcore.Image, size int) (*imgcore.Image, error) {
-		return boxFilter(context.Background(), img, size, parallel.Workers(1))
 	}, 5)
 }

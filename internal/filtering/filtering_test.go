@@ -1,8 +1,10 @@
 package filtering
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -90,42 +92,44 @@ func TestMedianEvenWindow(t *testing.T) {
 	}
 }
 
+// TestRankFilter pins the naive oracle itself: selecting the first and
+// the last of each window's sorted samples must reproduce Minimum and
+// Maximum.
 func TestRankFilter(t *testing.T) {
 	img := imgcore.MustNew(3, 3, 1)
 	for i := range img.Pix {
 		img.Pix[i] = float64(i)
 	}
-	minOut, err := Rank(img, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMin, err := Minimum(img, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range minOut.Pix {
-		if !testutil.BitEqual(minOut.Pix[i], wantMin.Pix[i]) {
-			t.Fatalf("Rank(0) != Minimum at %d", i)
+	kth := func(k int) func([]float64) float64 {
+		return func(buf []float64) float64 {
+			sort.Float64s(buf)
+			return buf[k]
 		}
 	}
-	maxOut, err := Rank(img, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMax, err := Maximum(img, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range maxOut.Pix {
-		if !testutil.BitEqual(maxOut.Pix[i], wantMax.Pix[i]) {
-			t.Fatalf("Rank(8) != Maximum at %d", i)
+	for _, tc := range []struct {
+		name string
+		k    int
+		want func(*imgcore.Image, int) (*imgcore.Image, error)
+	}{
+		{"min", 0, Minimum},
+		{"max", 8, Maximum},
+	} {
+		got, err := rankFilter(context.Background(), img, 3, kth(tc.k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.want(img, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.Pix {
+			if !testutil.BitEqual(got.Pix[i], want.Pix[i]) {
+				t.Fatalf("rank %d (%s) differs at %d: %v vs %v", tc.k, tc.name, i, got.Pix[i], want.Pix[i])
+			}
 		}
 	}
-	if _, err := Rank(img, 3, 9); err == nil {
-		t.Error("Rank out-of-range k = nil error")
-	}
-	if _, err := Rank(img, 3, -1); err == nil {
-		t.Error("Rank negative k = nil error")
+	if _, err := rankFilter(context.Background(), img, 1, pickMin); err == nil {
+		t.Error("rankFilter(size=1) = nil error")
 	}
 }
 
@@ -138,9 +142,6 @@ func TestFilterValidation(t *testing.T) {
 	}
 	if _, err := Minimum(&imgcore.Image{}, 2); err == nil {
 		t.Error("Minimum(empty) = nil error")
-	}
-	if _, err := Box(img, 1); err == nil {
-		t.Error("Box(size=1) = nil error")
 	}
 }
 
@@ -196,7 +197,7 @@ func TestRankFiltersPreserveConstants(t *testing.T) {
 	img := imgcore.MustNew(6, 6, 3)
 	img.Fill(77)
 	for name, fn := range map[string]func(*imgcore.Image, int) (*imgcore.Image, error){
-		"min": Minimum, "max": Maximum, "median": Median, "box": Box,
+		"min": Minimum, "max": Maximum, "median": Median,
 	} {
 		out, err := fn(img, 2)
 		if err != nil {
@@ -261,18 +262,6 @@ func TestGaussianValidation(t *testing.T) {
 	}
 	if _, err := Gaussian(&imgcore.Image{}, 2, 1); err == nil {
 		t.Error("Gaussian(empty) = nil error")
-	}
-}
-
-func TestBoxFilterAverages(t *testing.T) {
-	img := imgcore.MustNew(2, 2, 1)
-	copy(img.Pix, []float64{0, 4, 8, 12})
-	out, err := Box(img, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.BitEqual(out.At(0, 0, 0), 6) {
-		t.Errorf("box(0,0) = %v, want 6", out.At(0, 0, 0))
 	}
 }
 

@@ -57,38 +57,24 @@ func TestRankFilterSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBoxGaussianSerialParallelEquivalence covers the two smoothing
-// filters' parallel bands.
-func TestBoxGaussianSerialParallelEquivalence(t *testing.T) {
+// TestGaussianSerialParallelEquivalence covers the smoothing filter's
+// parallel bands.
+func TestGaussianSerialParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, wh := range [][2]int{{5, 3}, {17, 23}, {32, 32}, {41, 19}} {
 		for _, c := range []int{1, 3} {
 			img := noiseImage(rng, wh[0], wh[1], c)
-
-			wantBox, err := box(context.Background(), img, 3, parallel.Workers(1), parallel.Grain(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantGauss, err := gaussian(context.Background(), img, 2, 1.1, parallel.Workers(1), parallel.Grain(1))
+			want, err := gaussian(context.Background(), img, 2, 1.1, parallel.Workers(1), parallel.Grain(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 5} {
-				gotBox, err := box(context.Background(), img, 3, parallel.Workers(workers), parallel.Grain(1))
+				got, err := gaussian(context.Background(), img, 2, 1.1, parallel.Workers(workers), parallel.Grain(1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotGauss, err := gaussian(context.Background(), img, 2, 1.1, parallel.Workers(workers), parallel.Grain(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range wantBox.Pix {
-					if !testutil.BitEqual(gotBox.Pix[i], wantBox.Pix[i]) {
-						t.Fatalf("box %dx%dx%d workers=%d: sample %d differs", wh[0], wh[1], c, workers, i)
-					}
-				}
-				for i := range wantGauss.Pix {
-					if !testutil.BitEqual(gotGauss.Pix[i], wantGauss.Pix[i]) {
+				for i := range want.Pix {
+					if !testutil.BitEqual(got.Pix[i], want.Pix[i]) {
 						t.Fatalf("gaussian %dx%dx%d workers=%d: sample %d differs", wh[0], wh[1], c, workers, i)
 					}
 				}

@@ -24,7 +24,8 @@ var (
 	// required.
 	ErrEmptyImage = errors.New("imgcore: empty image")
 	// ErrShapeMismatch indicates two images whose dimensions were expected
-	// to agree but do not.
+	// to agree but do not, or an image whose pixel buffer length does not
+	// match its header.
 	ErrShapeMismatch = errors.New("imgcore: shape mismatch")
 	// ErrBadChannels indicates an unsupported channel count.
 	ErrBadChannels = errors.New("imgcore: channel count must be 1 or 3")
@@ -77,8 +78,8 @@ func (m *Image) Validate() error {
 		return fmt.Errorf("%w: got %d", ErrBadChannels, m.C)
 	}
 	if len(m.Pix) != m.W*m.H*m.C {
-		return fmt.Errorf("imgcore: pixel buffer length %d does not match %dx%dx%d",
-			len(m.Pix), m.W, m.H, m.C)
+		return fmt.Errorf("%w: pixel buffer length %d does not match %dx%dx%d",
+			ErrShapeMismatch, len(m.Pix), m.W, m.H, m.C)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package imgcore
 
 import (
 	"bytes"
+	"errors"
 	"image"
 	"image/color"
 	"math"
@@ -47,8 +48,8 @@ func TestNewValidation(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	img := MustNew(4, 4, 3)
 	img.Pix = img.Pix[:5]
-	if err := img.Validate(); err == nil {
-		t.Fatal("Validate() = nil for corrupted buffer, want error")
+	if err := img.Validate(); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("Validate() = %v for corrupted buffer, want ErrShapeMismatch", err)
 	}
 	var nilImg *Image
 	if err := nilImg.Validate(); err == nil {

@@ -48,8 +48,8 @@ func (u *U8Image) Validate() error {
 		return fmt.Errorf("%w: got %d", ErrBadChannels, u.C)
 	}
 	if len(u.Pix) != u.W*u.H*u.C {
-		return fmt.Errorf("imgcore: pixel buffer length %d does not match %dx%dx%d",
-			len(u.Pix), u.W, u.H, u.C)
+		return fmt.Errorf("%w: pixel buffer length %d does not match %dx%dx%d",
+			ErrShapeMismatch, len(u.Pix), u.W, u.H, u.C)
 	}
 	return nil
 }
